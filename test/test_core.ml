@@ -698,6 +698,85 @@ let test_activation_through_call () =
     [ ("t.ActCall", "main") ]
     [ ("s", "k-after") ]
 
+(* ---------------- per-node results ---------------- *)
+
+(* [Bidi.results_at] for every node of every reachable method, one
+   line per node: each taint with its source and derivation trail, in
+   the order the engine returns them *)
+let render_results_at name (r : Infoflow.result) =
+  let module Icfg = Fd_callgraph.Icfg in
+  let node_str = Icfg.string_of_node in
+  let taint_str (t : Taint.t) =
+    Printf.sprintf "%s<-%s[%s]" (Taint.to_string t)
+      (node_str t.Taint.source.Taint.si_node)
+      (String.concat " " (List.map node_str (Taint.path t)))
+  in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf ("== " ^ name ^ "\n");
+  Fd_callgraph.Callgraph.reachable_methods r.Infoflow.r_icfg.Icfg.cg
+  |> List.sort (fun a b ->
+         compare (Fd_callgraph.Mkey.to_string a) (Fd_callgraph.Mkey.to_string b))
+  |> List.iter (fun mk ->
+         match Icfg.body r.Infoflow.r_icfg mk with
+         | exception Not_found -> ()
+         | body ->
+             for i = 0 to Body.length body - 1 do
+               let n = Icfg.{ n_method = mk; n_idx = i } in
+               match Bidi.results_at r.Infoflow.r_engine n with
+               | [] -> ()
+               | ts ->
+                   Buffer.add_string buf
+                     (node_str n ^ ": "
+                     ^ String.concat " | " (List.map taint_str ts)
+                     ^ "\n")
+             done);
+  Buffer.contents buf
+
+let results_at_fixtures () =
+  let plain name cls entry = (name, analyze [ cls ] [ entry ]) in
+  let droidbench name =
+    match Fd_droidbench.Suite.find name with
+    | Some app -> (name, Infoflow.analyze_apk app.Fd_droidbench.Bench_app.app_apk)
+    | None -> Alcotest.fail (name ^ " missing from the suite")
+  in
+  [
+    plain "Listing 2" (listing2 ()) ("t.L2", "main");
+    plain "Listing 3" (listing3 ()) ("t.L3", "main");
+    plain "Figure 2" (figure2 ()) ("t.F2", "main");
+    droidbench "FieldSensitivity3";
+  ]
+
+(* pins the per-node result lists — contents and order — against the
+   recorded rendering in [results_at.expected]; on a mismatch the
+   current rendering is written to [results_at.actual] for diffing *)
+let test_results_at_pinned () =
+  let fixtures = results_at_fixtures () in
+  let actual =
+    String.concat "" (List.map (fun (n, r) -> render_results_at n r) fixtures)
+  in
+  let expected = In_channel.with_open_bin "results_at.expected" In_channel.input_all in
+  if not (String.equal expected actual) then
+    Out_channel.with_open_bin "results_at.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+  Alcotest.(check string) "results_at per node" expected actual;
+  (* nodes the forward solver never reached have no results *)
+  let _, r = List.hd fixtures in
+  let unreached =
+    Fd_callgraph.Icfg.
+      {
+        n_method =
+          Fd_callgraph.Mkey.{ mk_class = "t.L2"; mk_name = "absent"; mk_arity = 0 };
+        n_idx = 0;
+      }
+  in
+  Alcotest.(check int) "unreached node" 0
+    (List.length (Bidi.results_at r.Infoflow.r_engine unreached));
+  let entry = Fd_callgraph.Icfg.start_node r.Infoflow.r_icfg
+      Fd_callgraph.Mkey.{ mk_class = "t.L2"; mk_name = "main"; mk_arity = 0 }
+  in
+  Alcotest.(check int) "entry holds only the zero fact" 0
+    (List.length (Bidi.results_at r.Infoflow.r_engine entry))
+
 let () =
   Alcotest.run "fd_core"
     [
@@ -761,6 +840,8 @@ let () =
         ] );
       ( "reporting",
         [ Alcotest.test_case "path reconstruction" `Quick test_path_reconstruction ] );
+      ( "results-at",
+        [ Alcotest.test_case "per-node results pinned" `Quick test_results_at_pinned ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_rebase_roundtrip; prop_truncate_widens ] );
