@@ -1,17 +1,21 @@
 #!/bin/sh
-# Smoke test for the performance work, in two acts:
+# Smoke test for the performance work, in three acts:
 #
 #   1. determinism: the gate workload (full DroidBench table with all
 #      three engines + the full SecuriBench-µ table) must render
 #      bit-identical output at --jobs 1 and --jobs "$JOBS" — the
 #      app-level parallelism contract.
-#   2. speedup: the sequential per-iteration best must beat the
+#   2. work: the --jobs 1 run's per-iteration path edges and worklist
+#      dedup hits must equal the values in the committed
+#      BENCH_perf.json exactly (they are the same on every machine).
+#   3. speedup: the sequential per-iteration best must beat the
 #      recorded pre-optimisation baseline by at least MIN_SPEEDUP.
 #
 #   sh bench/check_perf.sh [JOBS]           (default JOBS: 2)
 #
 # Writes BENCH_perf.json at the repo root and exits non-zero on a
-# digest mismatch or a missed speedup, so it can gate CI.
+# digest mismatch, a work-counter mismatch or a missed speedup, so it
+# can gate CI.
 set -eu
 
 jobs="${1:-2}"
@@ -50,6 +54,7 @@ par_digest="$(json_field "$work/par.json" digest)"
 best_s="$(json_field "$work/seq.json" best_s)"
 mean_s="$(json_field "$work/seq.json" mean_s)"
 dedup="$(json_field "$work/seq.json" worklist_dedup_hits)"
+edges="$(json_field "$work/seq.json" path_edges)"
 
 if [ "$seq_digest" = "$par_digest" ] && [ -n "$seq_digest" ]; then
   echo "ok: --jobs 1 and --jobs $jobs render identical output ($seq_digest)"
@@ -59,6 +64,18 @@ else
   echo "  --jobs $jobs:     $par_digest"
   fail=1
 fi
+
+# the committed counters, read before this run rewrites the file
+for field in path_edges worklist_dedup_hits; do
+  want="$(json_field BENCH_perf.json "$field")"
+  got="$(json_field "$work/seq.json" "$field")"
+  if [ -n "$want" ] && [ "$want" = "$got" ]; then
+    echo "ok: $field $got equals the committed value"
+  else
+    echo "FAIL: $field $got differs from the committed value '$want'"
+    fail=1
+  fi
+done
 
 speedup="$(awk "BEGIN { printf \"%.2f\", $baseline_s / $best_s }")"
 ok_speedup="$(awk "BEGIN { print ($baseline_s / $best_s >= $min_speedup) ? 1 : 0 }")"
@@ -82,6 +99,7 @@ cat > BENCH_perf.json <<EOF
  "digest_jobs1": "$seq_digest",
  "digest_jobsN": "$par_digest",
  "deterministic": $([ "$seq_digest" = "$par_digest" ] && echo true || echo false),
+ "path_edges": $edges,
  "worklist_dedup_hits": $dedup
 }
 EOF

@@ -7,8 +7,8 @@
      perf_bench [--jobs N] [--repeat N] [--json FILE]
 
    Prints one line per iteration plus a summary; --json writes a small
-   machine-readable report (seconds per iteration, digest, intern/pool
-   counter readings) that bench/check_perf.sh folds into
+   machine-readable report (seconds per iteration, digest, the work
+   counters of one iteration) that bench/check_perf.sh folds into
    BENCH_perf.json. *)
 
 let jobs = ref (Fd_util.Pool.default_jobs ())
@@ -57,6 +57,11 @@ let () =
      faults in the code paths, so timed iterations measure the steady
      state the solver runs in *)
   let rendered = iteration ~jobs () in
+  (* the deterministic work of one iteration: the counters start at
+     zero and the warm-up is the process's first iteration *)
+  let counter = Fd_obs.Metrics.counter_value in
+  let path_edges = counter "ifds.path_edges"
+  and dedup = counter "ifds.worklist_dedup_hits" in
   let digest = Digest.to_hex (Digest.string rendered) in
   let times =
     List.init repeat (fun i ->
@@ -78,8 +83,8 @@ let () =
   let mean = List.fold_left ( +. ) 0. times /. float_of_int repeat in
   Printf.printf "jobs=%d repeat=%d best=%.4f s mean=%.4f s digest=%s\n" jobs
     repeat best mean digest;
-  let dedup = Fd_obs.Metrics.counter_value "ifds.worklist_dedup_hits" in
-  Printf.printf "worklist dedup hits (cumulative): %d\n" dedup;
+  Printf.printf "per iteration: path edges %d, worklist dedup hits %d\n"
+    path_edges dedup;
   match !json_out with
   | None -> ()
   | Some path ->
@@ -91,6 +96,7 @@ let () =
             ("best_s", Fd_obs.Json.Float best);
             ("mean_s", Fd_obs.Json.Float mean);
             ("digest", Fd_obs.Json.String digest);
+            ("path_edges", Fd_obs.Json.Int path_edges);
             ("worklist_dedup_hits", Fd_obs.Json.Int dedup);
           ]
       in

@@ -118,12 +118,7 @@ module I2_tbl = Hashtbl.Make (struct
   let hash (a, b) = Fd_util.Intern.combine a b
 end)
 
-module I3_tbl = Hashtbl.Make (struct
-  type t = int * int * int
-
-  let equal (a, b, c) (d, e, f) = a = d && b = e && c = f
-  let hash (a, b, c) = Fd_util.Intern.combine (Fd_util.Intern.combine a b) c
-end)
+module Flat_set = Fd_util.Flat_set
 
 module Fact_pool = Fd_util.Intern.Make (struct
   type t = Taint.fact
@@ -183,25 +178,34 @@ type cctx = { cc_id : int; cc_proc : minfo; cc_fact : Taint.fact }
     value and carry the same id *)
 
 type solver = {
-  s_edges : unit I3_tbl.t;  (** path edges, keyed (ctx, node, fact) ids *)
+  s_edges : Flat_set.t;  (** path edges, keyed (ctx, node, fact) ids *)
   s_summaries : (ninfo * Taint.fact) list ref Int_tbl.t;
       (** (proc entry context id) -> exit facts *)
-  s_sum_seen : unit I3_tbl.t;  (** (ctx, exit node, fact) ids *)
+  s_sum_seen : Flat_set.t;  (** (ctx, exit node, fact) ids *)
   s_incoming : (ninfo * cctx) list ref Int_tbl.t;
       (** (callee entry context id) -> call sites with caller contexts *)
-  s_inc_seen : unit I3_tbl.t;  (** (ctx, call node, caller ctx) ids *)
+  s_inc_seen : Flat_set.t;  (** (ctx, call node, caller ctx) ids *)
   s_work : (cctx * ninfo * Taint.fact) Queue.t;
 }
 
 let mk_solver () =
   {
-    s_edges = I3_tbl.create 512;
+    s_edges = Flat_set.create ();
     s_summaries = Int_tbl.create 256;
-    s_sum_seen = I3_tbl.create 256;
+    s_sum_seen = Flat_set.create ();
     s_incoming = Int_tbl.create 256;
-    s_inc_seen = I3_tbl.create 256;
+    s_inc_seen = Flat_set.create ();
     s_work = Queue.create ();
   }
+
+(* the per-node view of the forward results, indexed from the results
+   log on demand: (node, fact) pairs already listed, and each node's
+   taints, newest first *)
+type results_index = {
+  ri_seen : Flat_set.t;
+  ri_taints : Taint.t list Int_tbl.t;
+  mutable ri_upto : int;  (** log entries indexed so far *)
+}
 
 type t = {
   cfg : Config.t;
@@ -226,9 +230,12 @@ type t = {
      activation has executed, and the methods those call sites live in *)
   act_sites : unit Node_tbl.t Node_tbl.t;
   act_methods : unit Mkey.Tbl.t Node_tbl.t;
-  (* forward results per node id, for inspection and tests *)
-  results_list : Taint.t list ref Int_tbl.t;
-  results_seen : unit I2_tbl.t;  (** (node id, fact id) *)
+  (* forward results, for inspection and the ICC tier: every new
+     forward path edge with a non-zero fact appends its packed (node
+     id, fact id) to the log; [results_at] indexes it on first use *)
+  mutable results_log : int array;
+  mutable results_len : int;
+  mutable results_index : results_index option;
   budget : Fd_resilience.Budget.t;
   (* per-method must-alias results, computed lazily when the
      strong-update precision pass is on *)
@@ -295,8 +302,9 @@ let create ?budget ?store ?(in_slice = fun _ -> true) ~config ~icfg ~scene
     finding_keys = Hashtbl.create 64;
     act_sites = Node_tbl.create 16;
     act_methods = Node_tbl.create 16;
-    results_list = Int_tbl.create 256;
-    results_seen = I2_tbl.create 256;
+    results_log = Array.make 16 0;
+    results_len = 0;
+    results_index = None;
     budget;
     ma_cache = Mkey.Tbl.create 16;
     prov;
@@ -457,20 +465,15 @@ let cctx t (mi : minfo) fact =
 let record_result t (ni : ninfo) fid fact =
   match fact with
   | Taint.Zero -> ()
-  | Taint.T taint ->
-      let key = (ni.ni_id, fid) in
-      if not (I2_tbl.mem t.results_seen key) then begin
-        I2_tbl.replace t.results_seen key ();
-        let cell =
-          match Int_tbl.find_opt t.results_list ni.ni_id with
-          | Some c -> c
-          | None ->
-              let c = ref [] in
-              Int_tbl.replace t.results_list ni.ni_id c;
-              c
-        in
-        cell := taint :: !cell
-      end
+  | Taint.T _ ->
+      let n = t.results_len in
+      if n = Array.length t.results_log then begin
+        let log = Array.make (2 * n) 0 in
+        Array.blit t.results_log 0 log 0 n;
+        t.results_log <- log
+      end;
+      t.results_log.(n) <- Flat_set.pack ni.ni_id fid;
+      t.results_len <- n + 1
 
 (* profiler cell for a method, resolved once and cached on the minfo *)
 let prof_cell (mi : minfo) =
@@ -483,8 +486,8 @@ let prof_cell (mi : minfo) =
 
 let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
   let fid, fact = intern_fact t fact in
-  let key = (cx.cc_id, ni.ni_id, fid) in
-  if I3_tbl.mem solver.s_edges key then M.incr m_dedup_hits
+  if Flat_set.mem solver.s_edges cx.cc_id ni.ni_id fid 0 then
+    M.incr m_dedup_hits
   else if Fd_resilience.Budget.tick t.budget then begin
     M.incr m_path_edges;
     M.incr m_worklist_pushes;
@@ -509,7 +512,7 @@ let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
           ~pred_fact:t.cur_fact ~kind
     | None -> ());
     if t.cfg.Config.profile then Fd_obs.Profile.add_fact (prof_cell ni.ni_minfo);
-    I3_tbl.replace solver.s_edges key ();
+    ignore (Flat_set.add solver.s_edges cx.cc_id ni.ni_id fid 0);
     Queue.add (cx, ni, fact) solver.s_work
   end
 
@@ -524,11 +527,9 @@ let int_cell tbl id =
       Int_tbl.replace tbl id c;
       c
 
-let add_incoming t solver cx_callee ((ni : ninfo), (caller_cx : cctx)) =
-  ignore t;
-  let key = (cx_callee.cc_id, ni.ni_id, caller_cx.cc_id) in
-  if not (I3_tbl.mem solver.s_inc_seen key) then begin
-    I3_tbl.replace solver.s_inc_seen key ();
+let add_incoming solver cx_callee ((ni : ninfo), (caller_cx : cctx)) =
+  if Flat_set.add solver.s_inc_seen cx_callee.cc_id ni.ni_id caller_cx.cc_id 0
+  then begin
     Flight.record (fun () ->
         Printf.sprintf "call-edge %s -> %s"
           (Icfg.string_of_node ni.ni_node)
@@ -544,10 +545,9 @@ let incoming_of solver cx_callee =
 
 let add_summary t solver cx_callee ((ni : ninfo), fact) =
   let fid, fact = intern_fact t fact in
-  let key = (cx_callee.cc_id, ni.ni_id, fid) in
-  if I3_tbl.mem solver.s_sum_seen key then false
+  if not (Flat_set.add solver.s_sum_seen cx_callee.cc_id ni.ni_id fid 0) then
+    false
   else begin
-    I3_tbl.replace solver.s_sum_seen key ();
     Flight.record (fun () ->
         Printf.sprintf "return-edge %s %s"
           (Icfg.string_of_node ni.ni_node)
@@ -1046,15 +1046,7 @@ let return_flow t ~call:(cni : ninfo) ~(callee : minfo) ~exit_ni:(eni : ninfo)
           | _ -> ());
           let this_l = callee.mi_this and params = callee.mi_params in
           let out = ref [] in
-          let add taint' =
-            out := taint' :: !out;
-            (* a heap taint arriving in the caller may have caller-side
-               aliases: spawn a new search at the call site *)
-            if
-              (not (AP.is_static taint'.Taint.ap))
-              && AP.length taint'.Taint.ap > 0
-            then ()
-          in
+          let add taint' = out := taint' :: !out in
           if AP.is_static taint.Taint.ap then
             add (Taint.derive taint ~ap:taint.Taint.ap ~at:c);
           (* @this -> receiver: only heap mutations travel back *)
@@ -1310,7 +1302,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
       List.iter
         (fun d3 ->
           let cx_callee = cctx t callee d3 in
-          add_incoming t t.fw cx_callee (ni, cx);
+          add_incoming t.fw cx_callee (ni, cx);
           if not (inject_stored_summaries t cx_callee) then
             propagate_fw ~kind:Prov.Call t cx_callee s_callee d3;
           List.iter
@@ -1512,7 +1504,7 @@ let backward_descend_args t cx (mni : ninfo) (inv : Stmt.invoke)
             | Some ap ->
                 let d = Taint.derive taint ~ap ~at:m in
                 let cx_callee = cctx t callee (Taint.T d) in
-                add_incoming t t.fw cx_callee (mni, cx);
+                add_incoming t.fw cx_callee (mni, cx);
                 List.iter
                   (fun e_ni ->
                     propagate_bw ~kind:Prov.Backward t cx_callee e_ni
@@ -1545,15 +1537,11 @@ let backward_step t cx (mni : ninfo) (taint : Taint.t) =
   match stmt.Stmt.s_kind with
   | Stmt.Assign (lv, e) -> (
       let lap = ap_of_lvalue ~arr lv in
-      let strong_def =
-        (* only a whole-local definition removes the path upstream *)
-        match lv with Stmt.Llocal _ -> true | _ -> false
-      in
       if AP.has_prefix ~prefix:lap taint.Taint.ap then begin
         (* the written location is (a prefix of) our alias: rewrite
            through the assignment *)
         match e with
-        | Stmt.Einvoke inv ->
+        | Stmt.Einvoke _ ->
             (* value came from a callee's return: descend (Algorithm 2,
                call-statement case) *)
             List.iter
@@ -1572,14 +1560,13 @@ let backward_step t cx (mni : ninfo) (taint : Taint.t) =
                             | Some ap ->
                                 let d = Taint.derive taint ~ap ~at:m in
                                 let cx_callee = cctx t callee (Taint.T d) in
-                                add_incoming t t.fw cx_callee (mni, cx);
+                                add_incoming t.fw cx_callee (mni, cx);
                                 propagate_bw ~kind:Prov.Backward t cx_callee
                                   e_ni (Taint.T d)
                             | None -> ())
                         | _ -> ())
                       (exit_nis t callee))
-              (callees t mni);
-            ignore inv
+              (callees t mni)
         | Stmt.Enew _ | Stmt.Enewarray _ ->
             (* freshly allocated: nothing aliases it upstream *)
             ()
@@ -1610,7 +1597,6 @@ let backward_step t cx (mni : ninfo) (taint : Taint.t) =
            injection lands on [m]'s successors; and the new alias is
            itself searched backward so chains of heap assignments
            (o.a = c1; c1.a = c2; ...) compose. *)
-        ignore strong_def;
         (match alias_ap_of_expr ~arr e with
         | Some rap -> (
             match AP.rebase ~k:(k t) ~from:rap ~to_:lap taint.Taint.ap with
@@ -1663,23 +1649,22 @@ let process_bw t cx (ni : ninfo) (fact : Taint.fact) =
 
 (** [run t ~entries] seeds the zero fact at each entry method and runs
     both solvers to exhaustion (or to the propagation budget). *)
-(* rough live byte estimates for the gauges: hash-table entries are
-   costed at key tuple + bucket overhead (8 words for the I3 tables),
-   association-list cells at ~6 words, interned facts at ~16 words *)
+(* live byte sizes for the gauges: the flat seen-sets' allocated
+   words; estimates for the association lists (~6 words a cell) and
+   the interned facts (~16 words each) *)
 let bytes_of_words w = w * (Sys.word_size / 8)
 
-let solver_bytes s =
-  let i3 tbl = I3_tbl.length tbl * 8 in
+let solver_words s =
   let lists tbl =
     Int_tbl.fold (fun _ cell acc -> acc + 2 + (6 * List.length !cell)) tbl 0
   in
-  bytes_of_words
-    (i3 s.s_edges + i3 s.s_sum_seen + i3 s.s_inc_seen + lists s.s_summaries
-   + lists s.s_incoming)
+  Flat_set.words s.s_edges + Flat_set.words s.s_sum_seen
+  + Flat_set.words s.s_inc_seen + lists s.s_summaries + lists s.s_incoming
 
 let publish_memory_gauges t =
-  M.set_int g_bytes_fw (solver_bytes t.fw);
-  M.set_int g_bytes_bw (solver_bytes t.bw);
+  (* the forward tables include the results log they feed *)
+  M.set_int g_bytes_fw (bytes_of_words (solver_words t.fw + t.results_len));
+  M.set_int g_bytes_bw (bytes_of_words (solver_words t.bw));
   M.set_int g_bytes_facts (bytes_of_words (Fact_pool.size t.facts * 16));
   M.set_int g_bytes_prov
     (match t.prov with Some p -> Prov.approx_bytes p | None -> 0)
@@ -1838,10 +1823,33 @@ let findings t = t.findings
 let results_at t n =
   match Node_tbl.find_opt t.ninfos n with
   | None -> []
-  | Some ni -> (
-      match Int_tbl.find_opt t.results_list ni.ni_id with
-      | Some c -> !c
-      | None -> [])
+  | Some ni ->
+      let ri =
+        match t.results_index with
+        | Some ri -> ri
+        | None ->
+            let ri =
+              { ri_seen = Flat_set.create (); ri_taints = Int_tbl.create 64;
+                ri_upto = 0 }
+            in
+            t.results_index <- Some ri;
+            ri
+      in
+      (* index the log entries appended since the last call: a pair's
+         first entry lists its taint, so each node's list is newest
+         first in first-discovery order *)
+      for i = ri.ri_upto to t.results_len - 1 do
+        let e = t.results_log.(i) in
+        let nid = Flat_set.fst e and fid = Flat_set.snd e in
+        if Flat_set.add ri.ri_seen nid fid 0 0 then
+          match Fact_pool.value t.facts fid with
+          | Taint.T taint ->
+              let l = Option.value (Int_tbl.find_opt ri.ri_taints nid) ~default:[] in
+              Int_tbl.replace ri.ri_taints nid (taint :: l)
+          | Taint.Zero -> ()
+      done;
+      ri.ri_upto <- t.results_len;
+      Option.value (Int_tbl.find_opt ri.ri_taints ni.ni_id) ~default:[]
 
 (** [propagation_count t] is the number of path-edge propagations
     performed (the work metric reported by the benchmarks). *)

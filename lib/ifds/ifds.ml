@@ -126,25 +126,7 @@ module Make (P : PROBLEM) = struct
   end)
 
   module Int_tbl = Hashtbl.Make (Int)
-
-  module I2_tbl = Hashtbl.Make (struct
-    type t = int * int
-
-    let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-    let hash (a, b) = Fd_util.Intern.combine a b
-  end)
-
-  module I4_tbl = Hashtbl.Make (struct
-    type t = int * int * int * int
-
-    let equal (a1, b1, c1, d1) (a2, b2, c2, d2) =
-      a1 = a2 && b1 = b2 && c1 = c2 && d1 = d2
-
-    let hash (a, b, c, d) =
-      Fd_util.Intern.combine
-        (Fd_util.Intern.combine (Fd_util.Intern.combine a b) c)
-        d
-  end)
+  module Flat_set = Fd_util.Flat_set
 
   (* a worklist item: both pairs carry the canonical (pooled)
      representatives alongside their ids, so downstream flow functions
@@ -179,24 +161,26 @@ module Make (P : PROBLEM) = struct
     (* all discovered path edges, as id quadruples
        (sp, d1, n, d2) — membership is the only query the tabulation
        needs, so a flat set replaces the old two-level grouping *)
-    path_edges : unit I4_tbl.t;
+    path_edges : Flat_set.t;
     (* facts per node (the final analysis result): node id -> facts,
        with a flat (node, fact) seen set for dedup *)
     results_facts : P.fact list ref Int_tbl.t;
-    results_seen : unit I2_tbl.t;
+    results_seen : Flat_set.t;
+    (* the maps below are keyed on id pairs packed into one int
+       ([Flat_set.pack]) *)
     (* end summaries: (callee, entry fact) ids -> exit pairs *)
-    end_summaries : (P.node * int * P.fact * int) list ref I2_tbl.t;
-    sum_seen : unit I4_tbl.t;
+    end_summaries : (P.node * int * P.fact * int) list ref Int_tbl.t;
+    sum_seen : Flat_set.t;
     (* incoming: (callee, entry fact) ids -> caller-side (call, fact)
        pairs that entered that context *)
-    incoming : (P.node * int * P.fact * int) list ref I2_tbl.t;
-    inc_seen : unit I4_tbl.t;
+    incoming : (P.node * int * P.fact * int) list ref Int_tbl.t;
+    inc_seen : Flat_set.t;
     (* caller contexts per call-site pair: (call, fact) ids -> the
        (sp, d1) contexts whose path edges reached the call with that
        fact.  Indexed, where the previous representation required a
        full-table scan per discovered summary. *)
-    incoming_ctx : (P.node * int * P.fact * int) list ref I2_tbl.t;
-    ctx_seen : unit I4_tbl.t;
+    incoming_ctx : (P.node * int * P.fact * int) list ref Int_tbl.t;
+    ctx_seen : Flat_set.t;
     worklist : item Queue.t;
     mutable edge_count : int;
     budget : Fd_resilience.Budget.t;
@@ -204,7 +188,7 @@ module Make (P : PROBLEM) = struct
        contexts whose summaries were injected — skipped when seeding
        and never handed back to [sh_persist] *)
     hooks : summary_hooks option;
-    injected : unit I2_tbl.t;
+    injected : Flat_set.t;
     (* targeted-mode slice membership: calls whose callee falls
        outside it are treated like unanalysable calls (call-to-return
        only).  [None] — the default — takes no new code path. *)
@@ -216,20 +200,20 @@ module Make (P : PROBLEM) = struct
       nodes = Node_pool.create ~size:512 ();
       procs = Proc_pool.create ~size:64 ();
       facts = Fact_pool.create ~size:512 ();
-      path_edges = I4_tbl.create 1024;
+      path_edges = Flat_set.create ();
       results_facts = Int_tbl.create 256;
-      results_seen = I2_tbl.create 1024;
-      end_summaries = I2_tbl.create 64;
-      sum_seen = I4_tbl.create 256;
-      incoming = I2_tbl.create 64;
-      inc_seen = I4_tbl.create 256;
-      incoming_ctx = I2_tbl.create 256;
-      ctx_seen = I4_tbl.create 512;
+      results_seen = Flat_set.create ();
+      end_summaries = Int_tbl.create 64;
+      sum_seen = Flat_set.create ();
+      incoming = Int_tbl.create 64;
+      inc_seen = Flat_set.create ();
+      incoming_ctx = Int_tbl.create 256;
+      ctx_seen = Flat_set.create ();
       worklist = Queue.create ();
       edge_count = 0;
       budget;
       hooks;
-      injected = I2_tbl.create 16;
+      injected = Flat_set.create ();
       in_slice;
     }
 
@@ -241,17 +225,13 @@ module Make (P : PROBLEM) = struct
         Int_tbl.replace tbl key c;
         c
 
-  let i2_cell tbl key =
-    match I2_tbl.find_opt tbl key with
-    | Some c -> c
-    | None ->
-        let c = ref [] in
-        I2_tbl.replace tbl key c;
-        c
+  let pair_cells tbl (a, b) =
+    match Int_tbl.find_opt tbl (Flat_set.pack a b) with
+    | Some c -> !c
+    | None -> []
 
   let record_result t n_id d d_id =
-    if not (I2_tbl.mem t.results_seen (n_id, d_id)) then begin
-      I2_tbl.replace t.results_seen (n_id, d_id) ();
+    if Flat_set.add t.results_seen n_id d_id 0 0 then begin
       let c = int_cell t.results_facts n_id in
       c := d :: !c
     end
@@ -263,10 +243,10 @@ module Make (P : PROBLEM) = struct
     let n = Node_pool.value t.nodes n_id in
     let d2_id = Fact_pool.id t.facts d2 in
     let d2 = Fact_pool.value t.facts d2_id in
-    let key = (sp_id, d1_id, n_id, d2_id) in
-    if I4_tbl.mem t.path_edges key then M.incr m_dedup_hits
+    if Flat_set.mem t.path_edges sp_id d1_id n_id d2_id then
+      M.incr m_dedup_hits
     else if Fd_resilience.Budget.tick t.budget then begin
-      I4_tbl.replace t.path_edges key ();
+      ignore (Flat_set.add t.path_edges sp_id d1_id n_id d2_id);
       t.edge_count <- t.edge_count + 1;
       M.incr m_path_edges;
       M.incr m_worklist_pushes;
@@ -285,32 +265,28 @@ module Make (P : PROBLEM) = struct
         t.worklist
     end
 
-  let add_incoming t callee_key (n, n_id, d, d_id) =
-    let cp, cf = callee_key in
-    if not (I4_tbl.mem t.inc_seen (cp, cf, n_id, d_id)) then begin
-      I4_tbl.replace t.inc_seen (cp, cf, n_id, d_id) ();
-      let c = i2_cell t.incoming callee_key in
+  let add_incoming t (cp, cf) (n, n_id, d, d_id) =
+    if Flat_set.add t.inc_seen cp cf n_id d_id then begin
+      let c = int_cell t.incoming (Flat_set.pack cp cf) in
       c := (n, n_id, d, d_id) :: !c
     end
 
-  let add_ctx t call_key (sp, sp_id, d1, d1_id) =
-    let cn, cf = call_key in
-    if not (I4_tbl.mem t.ctx_seen (cn, cf, sp_id, d1_id)) then begin
-      I4_tbl.replace t.ctx_seen (cn, cf, sp_id, d1_id) ();
-      let c = i2_cell t.incoming_ctx call_key in
+  let add_ctx t (cn, cf) (sp, sp_id, d1, d1_id) =
+    if Flat_set.add t.ctx_seen cn cf sp_id d1_id then begin
+      let c = int_cell t.incoming_ctx (Flat_set.pack cn cf) in
       c := (sp, sp_id, d1, d1_id) :: !c
     end
 
-  let add_summary t callee_key (e, e_id, d, d_id) =
-    let cp, cf = callee_key in
-    if I4_tbl.mem t.sum_seen (cp, cf, e_id, d_id) then false
+  let add_summary t (cp, cf) (e, e_id, d, d_id) =
+    if not (Flat_set.add t.sum_seen cp cf e_id d_id) then false
     else begin
-      I4_tbl.replace t.sum_seen (cp, cf, e_id, d_id) ();
-      let c = i2_cell t.end_summaries callee_key in
+      let c = int_cell t.end_summaries (Flat_set.pack cp cf) in
       c := (e, e_id, d, d_id) :: !c;
       M.incr m_summaries;
       true
     end
+
+  let injected t (cp, cf) = Flat_set.mem t.injected cp cf 0 0
 
   let process t (it : item) =
     let sp = it.it_sp
@@ -347,12 +323,12 @@ module Make (P : PROBLEM) = struct
                 match t.hooks with
                 | None -> false
                 | Some h -> (
-                    if I2_tbl.mem t.injected callee_key then true
+                    if injected t callee_key then true
                     else
                       match h.sh_lookup callee d3 with
                       | None -> false
                       | Some sums ->
-                          I2_tbl.replace t.injected callee_key ();
+                          ignore (Flat_set.add t.injected callee_id d3_id 0 0);
                           List.iter
                             (fun (e, d4) ->
                               let e_id = Node_pool.id t.nodes e in
@@ -371,21 +347,18 @@ module Make (P : PROBLEM) = struct
                   s_callee d3
               end;
               (* apply already-known summaries *)
-              match I2_tbl.find_opt t.end_summaries callee_key with
-              | None -> ()
-              | Some sums ->
+              List.iter
+                (fun (e, _, d4, _) ->
+                  M.incr m_summary_apps;
                   List.iter
-                    (fun (e, _, d4, _) ->
-                      M.incr m_summary_apps;
+                    (fun r ->
+                      M.incr m_flow_return;
                       List.iter
-                        (fun r ->
-                          M.incr m_flow_return;
-                          List.iter
-                            (fun d5 -> propagate_src r d5)
-                            (P.return_flow ~call:n ~callee ~exit:e
-                               ~return_site:r d4))
-                        (P.succs n))
-                    !sums)
+                        (fun d5 -> propagate_src r d5)
+                        (P.return_flow ~call:n ~callee ~exit:e ~return_site:r
+                           d4))
+                    (P.succs n))
+                (pair_cells t.end_summaries callee_key))
             entry_facts)
         callees;
       (* call-to-return edge *)
@@ -403,34 +376,27 @@ module Make (P : PROBLEM) = struct
       let callee_key = (callee_id, d1_id) in
       if add_summary t callee_key (n, it.it_n_id, d2, it.it_d2_id) then begin
         (match t.hooks with
-        | Some h when not (I2_tbl.mem t.injected callee_key) ->
+        | Some h when not (injected t callee_key) ->
             h.sh_persist callee d1 ~exit:n d2
         | _ -> ());
-        match I2_tbl.find_opt t.incoming callee_key with
-        | None -> ()
-        | Some inc ->
+        List.iter
+          (fun (c, c_id, _dc, dc_id) ->
+            M.incr m_flow_return;
+            (* the caller contexts that passed (c, dc) into this
+               callee, via the index (no table scan) *)
+            let ctxs = pair_cells t.incoming_ctx (c_id, dc_id) in
             List.iter
-              (fun (c, c_id, _dc, dc_id) ->
-                M.incr m_flow_return;
-                (* the caller contexts that passed (c, dc) into this
-                   callee, via the index (no table scan) *)
-                let ctxs =
-                  match I2_tbl.find_opt t.incoming_ctx (c_id, dc_id) with
-                  | None -> []
-                  | Some c -> !c
-                in
+              (fun r ->
                 List.iter
-                  (fun r ->
+                  (fun d5 ->
                     List.iter
-                      (fun d5 ->
-                        List.iter
-                          (fun (spc, spc_id, d1c, d1c_id) ->
-                            propagate t ~sp:spc ~sp_id:spc_id ~d1:d1c
-                              ~d1_id:d1c_id r d5)
-                          ctxs)
-                      (P.return_flow ~call:c ~callee ~exit:n ~return_site:r d2))
-                  (P.succs c))
-              !inc
+                      (fun (spc, spc_id, d1c, d1c_id) ->
+                        propagate t ~sp:spc ~sp_id:spc_id ~d1:d1c
+                          ~d1_id:d1c_id r d5)
+                      ctxs)
+                  (P.return_flow ~call:c ~callee ~exit:n ~return_site:r d2))
+              (P.succs c))
+          (pair_cells t.incoming callee_key)
       end
     end
     else begin
@@ -443,17 +409,17 @@ module Make (P : PROBLEM) = struct
         (P.succs n)
     end
 
-  (* rough live byte accounting for the gauge: I4 entries cost key
-     tuple + bucket (~10 words), I2-indexed association cells ~8 words
-     per element *)
+  (* live byte size for the gauge: the flat seen-sets' allocated words,
+     plus an estimate for the association lists (~8 words a cell) *)
   let table_bytes t =
-    let i4 tbl = I4_tbl.length tbl * 10 in
     let lists tbl =
-      I2_tbl.fold (fun _ cell acc -> acc + 3 + (8 * List.length !cell)) tbl 0
+      Int_tbl.fold (fun _ cell acc -> acc + 3 + (8 * List.length !cell)) tbl 0
     in
-    (i4 t.path_edges + i4 t.sum_seen + i4 t.inc_seen + i4 t.ctx_seen
-    + I2_tbl.length t.results_seen * 8
-    + lists t.end_summaries + lists t.incoming + lists t.incoming_ctx)
+    (Flat_set.words t.path_edges + Flat_set.words t.sum_seen
+    + Flat_set.words t.inc_seen + Flat_set.words t.ctx_seen
+    + Flat_set.words t.results_seen + Flat_set.words t.injected
+    + lists t.results_facts + lists t.end_summaries + lists t.incoming
+    + lists t.incoming_ctx)
     * (Sys.word_size / 8)
 
   (** [solve ?budget ?proc_name ~seeds ()] runs the tabulation to a

@@ -7,6 +7,9 @@
      regression the fold-based hashes exist for — sensitive to
      differences arbitrarily deep in an access path, where the
      polymorphic hash's depth cutoff made deep paths collide;
+   - the solvers' flat seen-sets: add/mem agree with a [Hashtbl]
+     model across resizes, extreme ids round-trip, out-of-range ids
+     are refused;
    - the domain pool: [Pool.map] preserves order and determinism at
      any job count;
    - the app-level parallelism contract: the DroidBench and
@@ -17,6 +20,7 @@ open Fd_ir
 module AP = Fd_core.Access_path
 module Intern = Fd_util.Intern
 module Pool = Fd_util.Pool
+module Flat_set = Fd_util.Flat_set
 
 let loc name = Stmt.mk_local name
 let fld name = Types.mk_field "t.C" name
@@ -109,6 +113,81 @@ let test_deep_hash_no_truncation () =
     (Hashtbl.hash a = Hashtbl.hash b);
   Alcotest.(check bool) "explicit hash reaches the tail" true
     (AP.hash a <> AP.hash b)
+
+(* ---------------- flat seen-sets ---------------- *)
+
+(* ids from a small range (so keys repeat) mixed with the extremes *)
+let gen_id =
+  QCheck.Gen.(
+    frequency
+      [ (8, int_bound 6); (1, return 0); (1, return Flat_set.max_id);
+        (1, int_bound Flat_set.max_id) ])
+
+let gen_op =
+  QCheck.Gen.(
+    let* is_add = frequency [ (3, return true); (1, return false) ] in
+    let* a = gen_id and* b = gen_id and* c = gen_id and* d = gen_id in
+    return (is_add, (a, b, c, d)))
+
+let arb_ops =
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        list (pair bool (quad int int int int)))
+    QCheck.Gen.(list_size (int_range 0 600) gen_op)
+
+(* every add/mem answer matches a Hashtbl model; up to 600 operations
+   take a 16-slot table through several doublings, and the load never
+   exceeds 3/4 *)
+let prop_flat_set_model =
+  QCheck.Test.make ~name:"flat set: add/mem agree with a Hashtbl model"
+    ~count:300 arb_ops (fun ops ->
+      let s = Flat_set.create () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (is_add, ((a, b, c, d) as k)) ->
+          let fresh = not (Hashtbl.mem model k) in
+          let ok =
+            if is_add then begin
+              Hashtbl.replace model k ();
+              Bool.equal (Flat_set.add s a b c d) fresh
+            end
+            else Bool.equal (Flat_set.mem s a b c d) (not fresh)
+          in
+          ok && 4 * Flat_set.length s <= 3 * (Flat_set.words s / 2))
+        ops
+      && Flat_set.length s = Hashtbl.length model
+      && Hashtbl.fold (fun (a, b, c, d) () acc -> acc && Flat_set.mem s a b c d)
+           model true)
+
+let test_flat_set_extremes () =
+  let m = Flat_set.max_id in
+  Alcotest.(check int) "max_id" ((1 lsl 31) - 1) m;
+  List.iter
+    (fun (a, b) ->
+      let k = Flat_set.pack a b in
+      Alcotest.(check (pair int int)) "pack round-trip" (a, b)
+        (Flat_set.fst k, Flat_set.snd k))
+    [ (0, 0); (0, m); (m, 0); (m, m) ];
+  let s = Flat_set.create () in
+  Alcotest.(check int) "starts at 16 slots" 32 (Flat_set.words s);
+  Alcotest.(check bool) "extreme key is new" true (Flat_set.add s 0 m m 0);
+  Alcotest.(check bool) "extreme key is present" true (Flat_set.mem s 0 m m 0);
+  Alcotest.(check bool) "mirrored key is absent" false (Flat_set.mem s m 0 0 m);
+  Alcotest.(check bool) "zero key is new" true (Flat_set.add s 0 0 0 0);
+  Alcotest.(check bool) "extreme key added once" false (Flat_set.add s 0 m m 0);
+  (* 2^31 would alias (1, 0) in a packed half; a negative id would
+     spill into its neighbour: both are refused *)
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.fail (name ^ ": accepted an out-of-range id")
+    | exception Invalid_argument _ -> ()
+  in
+  refused "pack" (fun () -> ignore (Flat_set.pack (m + 1) 0));
+  refused "pack negative" (fun () -> ignore (Flat_set.pack 0 (-1)));
+  refused "add" (fun () -> ignore (Flat_set.add s 0 0 0 (m + 1)));
+  refused "add first" (fun () -> ignore (Flat_set.add s (m + 1) 0 0 0));
+  refused "mem" (fun () -> ignore (Flat_set.mem s 0 (m + 1) 0 0));
+  Alcotest.(check int) "refused keys were not added" 2 (Flat_set.length s)
 
 (* ---------------- domain pool ---------------- *)
 
@@ -210,6 +289,12 @@ let () =
           [ prop_hash_consistent_with_equal ]
         @ [ Alcotest.test_case "deep paths hash apart" `Quick
               test_deep_hash_no_truncation ] );
+      ( "flat-set",
+        List.map QCheck_alcotest.to_alcotest [ prop_flat_set_model ]
+        @ [
+            Alcotest.test_case "extreme ids round-trip, others refused" `Quick
+              test_flat_set_extremes;
+          ] );
       ( "pool",
         List.map QCheck_alcotest.to_alcotest [ prop_pool_map_ordered ]
         @ [
