@@ -86,13 +86,14 @@ type finding = {
 (* ---------------- interned solver state ----------------
 
    Facts, contexts and program points are interned into dense integer
-   ids at the propagation boundary; every solver table is then keyed
-   on small int tuples (O(1) compares, no repeated deep structural
-   hashing), and the per-node / per-method views the flow functions
-   consume — statement, successors, predecessors, callees, parameter
-   locals, source/sink classifications — are resolved once and cached
-   against the id.  All pools live inside the engine value, so
-   engines on different domains never share mutable state. *)
+   ids at the propagation boundary; the seen-sets are then flat sets
+   of packed id keys ([Fd_util.Flat_set]: one probe, no allocation, no
+   repeated deep structural hashing), and the per-node / per-method
+   views the flow functions consume — statement, successors,
+   predecessors, callees, parameter locals, source/sink
+   classifications — are resolved once and cached against the id.
+   All pools live inside the engine value, so engines on different
+   domains never share mutable state. *)
 
 let m_dedup_hits = M.counter "ifds.worklist_dedup_hits"
 let g_intern_facts = M.gauge "intern.facts.size"
@@ -1819,7 +1820,7 @@ let run t ~entries =
 let findings t = t.findings
 
 (** [results_at t n] is the taints that may hold just before [n]
-    (forward solver facts, for tests and inspection). *)
+    (forward solver facts), indexed from the results log on demand. *)
 let results_at t n =
   match Node_tbl.find_opt t.ninfos n with
   | None -> []

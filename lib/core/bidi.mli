@@ -77,7 +77,11 @@ val findings : t -> finding list
 
 val results_at : t -> Icfg.node -> Taint.t list
 (** [results_at t n] is the taints that may hold just before [n]
-    (forward-solver facts; for tests and inspection). *)
+    (forward-solver facts), newest first in order of first discovery;
+    [[]] for a node the forward solver never reached.  The first call
+    indexes the solve's results log, so it costs one pass over the
+    forward path edges; later calls are table lookups.  Used by the
+    ICC tier, tests and inspection. *)
 
 val propagation_count : t -> int
 (** [propagation_count t] is the number of path-edge propagations

@@ -36,15 +36,16 @@ let hash hi lo =
   h lxor (h lsr 29)
 
 (* the slot holding [(hi, lo)], or the empty slot that ends its probe
-   sequence *)
+   sequence, searching from slot [i]; top-level rather than a local
+   closure, so a probe allocates nothing *)
+let rec probe_from slots mask hi lo i =
+  let k = Array.unsafe_get slots (2 * i) in
+  if k = empty || (k = hi && Array.unsafe_get slots ((2 * i) + 1) = lo) then i
+  else probe_from slots mask hi lo ((i + 1) land mask)
+
 let probe slots hi lo =
   let mask = (Array.length slots lsr 1) - 1 in
-  let rec go i =
-    let k = Array.unsafe_get slots (2 * i) in
-    if k = empty || (k = hi && Array.unsafe_get slots ((2 * i) + 1) = lo) then i
-    else go ((i + 1) land mask)
-  in
-  go (hash hi lo land mask)
+  probe_from slots mask hi lo (hash hi lo land mask)
 
 let grow s =
   let old = s.slots in
