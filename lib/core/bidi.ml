@@ -1650,9 +1650,9 @@ let process_bw t cx (ni : ninfo) (fact : Taint.fact) =
 
 (** [run t ~entries] seeds the zero fact at each entry method and runs
     both solvers to exhaustion (or to the propagation budget). *)
-(* live byte sizes for the gauges: the flat seen-sets' allocated
-   words; estimates for the association lists (~6 words a cell) and
-   the interned facts (~16 words each) *)
+(* live byte sizes for the gauges: the allocated words of the flat
+   seen-sets and the results log; estimates for the association lists
+   (~6 words a cell) and the interned facts (~16 words each) *)
 let bytes_of_words w = w * (Sys.word_size / 8)
 
 let solver_words s =
@@ -1664,7 +1664,8 @@ let solver_words s =
 
 let publish_memory_gauges t =
   (* the forward tables include the results log they feed *)
-  M.set_int g_bytes_fw (bytes_of_words (solver_words t.fw + t.results_len));
+  M.set_int g_bytes_fw
+    (bytes_of_words (solver_words t.fw + Array.length t.results_log));
   M.set_int g_bytes_bw (bytes_of_words (solver_words t.bw));
   M.set_int g_bytes_facts (bytes_of_words (Fact_pool.size t.facts * 16));
   M.set_int g_bytes_prov

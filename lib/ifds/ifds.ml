@@ -182,7 +182,6 @@ module Make (P : PROBLEM) = struct
     incoming_ctx : (P.node * int * P.fact * int) list ref Int_tbl.t;
     ctx_seen : Flat_set.t;
     worklist : item Queue.t;
-    mutable edge_count : int;
     budget : Fd_resilience.Budget.t;
     (* external summaries: the hooks and the (callee, entry fact)
        contexts whose summaries were injected — skipped when seeding
@@ -210,7 +209,6 @@ module Make (P : PROBLEM) = struct
       incoming_ctx = Int_tbl.create 256;
       ctx_seen = Flat_set.create ();
       worklist = Queue.create ();
-      edge_count = 0;
       budget;
       hooks;
       injected = Flat_set.create ();
@@ -247,7 +245,6 @@ module Make (P : PROBLEM) = struct
       M.incr m_dedup_hits
     else if Fd_resilience.Budget.tick t.budget then begin
       ignore (Flat_set.add t.path_edges sp_id d1_id n_id d2_id);
-      t.edge_count <- t.edge_count + 1;
       M.incr m_path_edges;
       M.incr m_worklist_pushes;
       record_result t n_id d2 d2_id;
@@ -498,5 +495,5 @@ module Make (P : PROBLEM) = struct
 
   (** [edge_count t] is the number of discovered path edges (a size
       metric for benchmarks). *)
-  let edge_count t = t.edge_count
+  let edge_count t = Flat_set.length t.path_edges
 end
