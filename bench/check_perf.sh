@@ -67,7 +67,7 @@ fi
 
 # the committed counters, read before this run rewrites the file
 for field in path_edges worklist_dedup_hits; do
-  want="$(json_field BENCH_perf.json "$field")"
+  want="$(json_field BENCH_perf.json "$field" 2>/dev/null || true)"
   got="$(json_field "$work/seq.json" "$field")"
   if [ -n "$want" ] && [ "$want" = "$got" ]; then
     echo "ok: $field $got equals the committed value"

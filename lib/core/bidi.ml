@@ -1820,38 +1820,43 @@ let run t ~entries =
 (** [findings t] is the reported source-to-sink flows. *)
 let findings t = t.findings
 
+(* the results index, brought up to date with the log: a pair's first
+   entry lists its taint, so each node's list is newest first in
+   first-discovery order *)
+let results_index t =
+  let ri =
+    match t.results_index with
+    | Some ri -> ri
+    | None ->
+        let ri =
+          { ri_seen = Flat_set.create (); ri_taints = Int_tbl.create 64;
+            ri_upto = 0 }
+        in
+        t.results_index <- Some ri;
+        ri
+  in
+  for i = ri.ri_upto to t.results_len - 1 do
+    let e = t.results_log.(i) in
+    let nid = Flat_set.fst e and fid = Flat_set.snd e in
+    if Flat_set.add ri.ri_seen nid fid 0 0 then
+      match Fact_pool.value t.facts fid with
+      | Taint.T taint ->
+          let l = Option.value (Int_tbl.find_opt ri.ri_taints nid) ~default:[] in
+          Int_tbl.replace ri.ri_taints nid (taint :: l)
+      | Taint.Zero -> ()
+  done;
+  ri.ri_upto <- t.results_len;
+  ri
+
 (** [results_at t n] is the taints that may hold just before [n]
     (forward solver facts), indexed from the results log on demand. *)
 let results_at t n =
   match Node_tbl.find_opt t.ninfos n with
   | None -> []
   | Some ni ->
-      let ri =
-        match t.results_index with
-        | Some ri -> ri
-        | None ->
-            let ri =
-              { ri_seen = Flat_set.create (); ri_taints = Int_tbl.create 64;
-                ri_upto = 0 }
-            in
-            t.results_index <- Some ri;
-            ri
-      in
-      (* index the log entries appended since the last call: a pair's
-         first entry lists its taint, so each node's list is newest
-         first in first-discovery order *)
-      for i = ri.ri_upto to t.results_len - 1 do
-        let e = t.results_log.(i) in
-        let nid = Flat_set.fst e and fid = Flat_set.snd e in
-        if Flat_set.add ri.ri_seen nid fid 0 0 then
-          match Fact_pool.value t.facts fid with
-          | Taint.T taint ->
-              let l = Option.value (Int_tbl.find_opt ri.ri_taints nid) ~default:[] in
-              Int_tbl.replace ri.ri_taints nid (taint :: l)
-          | Taint.Zero -> ()
-      done;
-      ri.ri_upto <- t.results_len;
-      Option.value (Int_tbl.find_opt ri.ri_taints ni.ni_id) ~default:[]
+      Option.value
+        (Int_tbl.find_opt (results_index t).ri_taints ni.ni_id)
+        ~default:[]
 
 (** [propagation_count t] is the number of path-edge propagations
     performed (the work metric reported by the benchmarks). *)

@@ -715,7 +715,8 @@ let render_results_at name (r : Infoflow.result) =
   Buffer.add_string buf ("== " ^ name ^ "\n");
   Fd_callgraph.Callgraph.reachable_methods r.Infoflow.r_icfg.Icfg.cg
   |> List.sort (fun a b ->
-         compare (Fd_callgraph.Mkey.to_string a) (Fd_callgraph.Mkey.to_string b))
+         let key = Fd_callgraph.Mkey.to_string in
+         compare (key a) (key b))
   |> List.iter (fun mk ->
          match Icfg.body r.Infoflow.r_icfg mk with
          | exception Not_found -> ()
@@ -736,7 +737,8 @@ let results_at_fixtures () =
   let plain name cls entry = (name, analyze [ cls ] [ entry ]) in
   let droidbench name =
     match Fd_droidbench.Suite.find name with
-    | Some app -> (name, Infoflow.analyze_apk app.Fd_droidbench.Bench_app.app_apk)
+    | Some app ->
+        (name, Infoflow.analyze_apk app.Fd_droidbench.Bench_app.app_apk)
     | None -> Alcotest.fail (name ^ " missing from the suite")
   in
   [
@@ -754,26 +756,22 @@ let test_results_at_pinned () =
   let actual =
     String.concat "" (List.map (fun (n, r) -> render_results_at n r) fixtures)
   in
-  let expected = In_channel.with_open_bin "results_at.expected" In_channel.input_all in
+  let expected =
+    In_channel.with_open_bin "results_at.expected" In_channel.input_all
+  in
   if not (String.equal expected actual) then
     Out_channel.with_open_bin "results_at.actual" (fun oc ->
         Out_channel.output_string oc actual);
   Alcotest.(check string) "results_at per node" expected actual;
   (* nodes the forward solver never reached have no results *)
   let _, r = List.hd fixtures in
-  let unreached =
-    Fd_callgraph.Icfg.
-      {
-        n_method =
-          Fd_callgraph.Mkey.{ mk_class = "t.L2"; mk_name = "absent"; mk_arity = 0 };
-        n_idx = 0;
-      }
+  let mkey name =
+    Fd_callgraph.Mkey.{ mk_class = "t.L2"; mk_name = name; mk_arity = 0 }
   in
+  let unreached = Fd_callgraph.Icfg.{ n_method = mkey "absent"; n_idx = 0 } in
   Alcotest.(check int) "unreached node" 0
     (List.length (Bidi.results_at r.Infoflow.r_engine unreached));
-  let entry = Fd_callgraph.Icfg.start_node r.Infoflow.r_icfg
-      Fd_callgraph.Mkey.{ mk_class = "t.L2"; mk_name = "main"; mk_arity = 0 }
-  in
+  let entry = Fd_callgraph.Icfg.start_node r.Infoflow.r_icfg (mkey "main") in
   Alcotest.(check int) "entry holds only the zero fact" 0
     (List.length (Bidi.results_at r.Infoflow.r_engine entry))
 
@@ -841,7 +839,10 @@ let () =
       ( "reporting",
         [ Alcotest.test_case "path reconstruction" `Quick test_path_reconstruction ] );
       ( "results-at",
-        [ Alcotest.test_case "per-node results pinned" `Quick test_results_at_pinned ] );
+        [
+          Alcotest.test_case "per-node results pinned" `Quick
+            test_results_at_pinned;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_rebase_roundtrip; prop_truncate_widens ] );
