@@ -9,8 +9,8 @@
     minor heap) and double before their load would exceed 3/4.
 
     A solver with fewer than four ids per key passes [0] for the
-    unused positions.  Sets are not thread-safe; each solver owns its
-    own. *)
+    unused positions.  Packing needs 63-bit native ints (a 64-bit
+    platform).  Sets are not thread-safe; each solver owns its own. *)
 
 type t
 
