@@ -30,6 +30,7 @@ exception Lex_error of int * string
 type t = { src : string; mutable pos : int; mutable line : int }
 
 let create src = { src; pos = 0; line = 1 }
+let line t = t.line
 let fail t msg = raise (Lex_error (t.line, msg))
 let eof t = t.pos >= String.length t.src
 let peek t = if eof t then '\000' else t.src.[t.pos]

@@ -42,7 +42,7 @@ type st = {
   mutable order : local list;
 }
 
-let fail st msg = raise (Parse_error (st.lx.Lexer.line, msg))
+let fail st msg = raise (Parse_error (Lexer.line st.lx, msg))
 
 let advance st = st.tok <- Lexer.next st.lx
 
