@@ -465,6 +465,120 @@ let prop_parser_mutation =
       | exception Lexer.Lex_error _ -> true
       | exception _ -> false)
 
+(* ---------------- token-stream pin ---------------- *)
+
+(* Every token's (constructor, payload, line) over a fixed corpus,
+   folded into one MD5 per source set, plus the exception and line of
+   a fixed list of malformed inputs — recorded in [tokens.expected].
+   On a mismatch the current rendering is written to [tokens.actual]
+   for diffing. *)
+
+let render_tokens buf src =
+  let lx = Lexer.create src in
+  let rec go n =
+    match Lexer.next lx with
+    | Lexer.EOF -> n
+    | tok ->
+        Buffer.add_string buf (Lexer.string_of_token tok);
+        Buffer.add_char buf '@';
+        Buffer.add_string buf (string_of_int (Lexer.line lx));
+        Buffer.add_char buf '\n';
+        go (n + 1)
+  in
+  go 0
+
+let jimple_files root =
+  let rec walk dir =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun e ->
+           let p = Filename.concat dir e in
+           if Sys.is_directory p then walk p
+           else if Filename.check_suffix p ".jimple" then [ p ]
+           else [])
+  in
+  walk root
+
+let token_corpora () =
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  let printed classes = List.map Pretty.class_to_string classes in
+  let generated profile =
+    Fd_appgen.Generator.corpus ~profile ~seed:13 60
+    |> List.concat_map (fun (ga : Fd_appgen.Generator.gen_app) ->
+           printed ga.ga_apk.Fd_frontend.Apk.apk_classes)
+  in
+  [
+    ("examples/apps", List.map read (jimple_files "../examples/apps"));
+    ("examples/repro", List.map read (jimple_files "../examples/repro"));
+    ( "droidbench",
+      List.concat_map
+        (fun (a : Fd_droidbench.Bench_app.t) ->
+          printed a.app_apk.Fd_frontend.Apk.apk_classes)
+        Fd_droidbench.Suite.all );
+    ("gen-play", generated Fd_appgen.Generator.Play);
+    ("gen-malware", generated Fd_appgen.Generator.Malware);
+    ("gen-icc", generated Fd_appgen.Generator.Icc);
+  ]
+
+let malformed_sources =
+  [
+    "class A {\n  /* never\n  closed\n";
+    "class A { /* **";
+    "class A {\n  method void m() {\n    x = \"spans\nlines\n";
+    "class A {\n  method void m() {\n    x = \"a\\qb\";\n  }\n}";
+    "class A {\n  method void m() {\n    x = \"line\nthen \\z\";\n  }\n}";
+    "x = \"trailing\\";
+    "x = \"\\1a\\065\\t\\\"\";\n y = !x;";
+    "class A {\n  method void m() {\n    if x !x goto l;\n  }\n}";
+    "class A {\n  method void <init\n() { return; }\n}";
+    "class A {\n  method void <init>() {\n    a = b <clinit;\n  }\n}";
+    "class A {\n  method void m() {\n    a = b <= c << d >= e >> f - 3 -x;\n  }\n}";
+    "class A {\n  // comment\n  field f : int;\n  `\n}";
+    "class A {\n  method void m() {\n    a.b.c.#f = 1;\n  }\n}";
+  ]
+
+let render_malformed src =
+  let lexed =
+    let lx = Lexer.create src in
+    let rec go n =
+      match Lexer.next lx with
+      | Lexer.EOF -> Printf.sprintf "lex: %d tokens, EOF at line %d" n (Lexer.line lx)
+      | _ -> go (n + 1)
+      | exception Lexer.Lex_error (line, msg) ->
+          Printf.sprintf "lex: Lex_error line %d after %d tokens: %S" line n msg
+    in
+    go 0
+  in
+  let parsed =
+    match Parser.parse_string src with
+    | cs -> Printf.sprintf "parse: %d classes" (List.length cs)
+    | exception Parser.Parse_error (line, msg) ->
+        Printf.sprintf "parse: Parse_error line %d: %S" line msg
+    | exception Lexer.Lex_error (line, msg) ->
+        Printf.sprintf "parse: Lex_error line %d: %S" line msg
+  in
+  Printf.sprintf "%S\n  %s\n  %s\n" src lexed parsed
+
+let test_token_stream_pinned () =
+  let corpora =
+    List.map
+      (fun (name, sources) ->
+        let buf = Buffer.create (1 lsl 20) in
+        let n = List.fold_left (fun n src -> n + render_tokens buf src) 0 sources in
+        Printf.sprintf "%s: %d sources, %d tokens, md5 %s\n" name
+          (List.length sources) n
+          (Digest.to_hex (Digest.string (Buffer.contents buf))))
+      (token_corpora ())
+  in
+  let actual =
+    String.concat "" corpora
+    ^ String.concat "" (List.map render_malformed malformed_sources)
+  in
+  let expected = In_channel.with_open_bin "tokens.expected" In_channel.input_all in
+  if not (String.equal expected actual) then
+    Out_channel.with_open_bin "tokens.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+  Alcotest.(check string) "token stream" expected actual
+
 let prop_body_succs_in_range =
   QCheck.Test.make ~name:"all successors are valid indices" ~count:100
     (QCheck.make ~print:Pretty.class_to_string gen_prog) (fun c ->
@@ -518,6 +632,7 @@ let () =
           Alcotest.test_case "round-trip LeakageApp" `Quick test_roundtrip_leakage;
           Alcotest.test_case "hand-written unit" `Quick test_parse_handwritten;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "token stream pinned" `Quick test_token_stream_pinned;
           Alcotest.test_case "comments and operators" `Quick
             test_parse_comments_and_ops;
         ] );
