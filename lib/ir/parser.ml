@@ -46,8 +46,19 @@ let fail st msg = raise (Parse_error (Lexer.line st.lx, msg))
 
 let advance st = st.tok <- Lexer.next st.lx
 
+(* [same_punct a b]: [a] and [b] are the same payload-free token *)
+let same_punct a b =
+  match (a, b) with
+  | LBRACE, LBRACE | RBRACE, RBRACE | LPAREN, LPAREN | RPAREN, RPAREN
+  | LBRACKET, LBRACKET | RBRACKET, RBRACKET | SEMI, SEMI | COLON, COLON
+  | COMMA, COMMA | HASH, HASH | AT, AT | DOT, DOT | ASSIGN, ASSIGN
+  | IDENTITY, IDENTITY | EOF, EOF ->
+      true
+  | _ -> false
+
+(* [expect st tok] consumes the payload-free token [tok] *)
 let expect st tok =
-  if st.tok = tok then advance st
+  if same_punct st.tok tok then advance st
   else
     fail st
       (Printf.sprintf "expected %s but found %s"
@@ -77,12 +88,13 @@ let parse_type st =
   let base = ident st in
   let ty = ref (typ_of_string base) in
   let rec arrays () =
-    if st.tok = LBRACKET then begin
-      advance st;
-      expect st RBRACKET;
-      ty := Array !ty;
-      arrays ()
-    end
+    match st.tok with
+    | LBRACKET ->
+        advance st;
+        expect st RBRACKET;
+        ty := Array !ty;
+        arrays ()
+    | _ -> ()
   in
   arrays ();
   !ty
@@ -134,24 +146,22 @@ let parse_imm st =
 
 let parse_args st =
   expect st LPAREN;
-  if st.tok = RPAREN then begin
-    advance st;
-    []
-  end
-  else begin
-    let rec go acc =
-      let a = parse_imm st in
-      if st.tok = COMMA then begin
-        advance st;
-        go (a :: acc)
-      end
-      else begin
-        expect st RPAREN;
-        List.rev (a :: acc)
-      end
-    in
-    go []
-  end
+  match st.tok with
+  | RPAREN ->
+      advance st;
+      []
+  | _ ->
+      let rec go acc =
+        let a = parse_imm st in
+        match st.tok with
+        | COMMA ->
+            advance st;
+            go (a :: acc)
+        | _ ->
+            expect st RPAREN;
+            List.rev (a :: acc)
+      in
+      go []
 
 let mk_sig cls name args ret =
   {
@@ -188,11 +198,12 @@ let parse_invoke st kind =
       { i_kind = kind; i_sig = mk_sig cls name args (Ref Types.object_class);
         i_recv = Some recv; i_args = args }
 
+(* only called on the three keywords the statement and rhs matches
+   select *)
 let invoke_kw = function
-  | "virtualinvoke" -> Some Virtual
-  | "specialinvoke" -> Some Special
-  | "staticinvoke" -> Some Static
-  | _ -> None
+  | "virtualinvoke" -> Virtual
+  | "specialinvoke" -> Special
+  | _ -> Static
 
 (* ---------------- rhs of assignments ---------------- *)
 
@@ -216,16 +227,15 @@ let parse_rhs st : expr =
          final "[n]" length *)
       let rec go () =
         expect st LBRACKET;
-        if st.tok = RBRACKET then begin
-          advance st;
-          ty := Array !ty;
-          go ()
-        end
-        else begin
-          let n = parse_imm st in
-          expect st RBRACKET;
-          n
-        end
+        match st.tok with
+        | RBRACKET ->
+            advance st;
+            ty := Array !ty;
+            go ()
+        | _ ->
+            let n = parse_imm st in
+            expect st RBRACKET;
+            n
       in
       let n = go () in
       Enewarray (!ty, n)
@@ -243,16 +253,16 @@ let parse_rhs st : expr =
       advance st;
       let a = parse_imm st in
       Eunop ("neg", a)
-  | IDENT k when invoke_kw k <> None ->
+  | IDENT (("virtualinvoke" | "specialinvoke" | "staticinvoke") as k) ->
       advance st;
-      Einvoke (parse_invoke st (Option.get (invoke_kw k)))
+      Einvoke (parse_invoke st (invoke_kw k))
   | _ -> (
       (* immediate, field load, array load, binop, instanceof *)
       match st.tok with
       | IDENT dotted when String.contains dotted '.' -> (
           advance st;
-          match split_ref st dotted with
-          | Some (base, cls) when st.tok = HASH ->
+          match (split_ref st dotted, st.tok) with
+          | Some (base, cls), HASH ->
               advance st;
               let fname = ident st in
               Efield (base, mk_field cls fname)
@@ -295,15 +305,15 @@ let cmp_of_op st = function
   | op -> fail st (Printf.sprintf "not a comparison operator: %S" op)
 
 let parse_tag st =
-  if st.tok = AT then begin
-    advance st;
-    match st.tok with
-    | STRING s ->
-        advance st;
-        Some s
-    | t -> fail st (Printf.sprintf "expected a tag string after '@', found %s" (Lexer.string_of_token t))
-  end
-  else None
+  match st.tok with
+  | AT -> (
+      advance st;
+      match st.tok with
+      | STRING s ->
+          advance st;
+          Some s
+      | t -> fail st (Printf.sprintf "expected a tag string after '@', found %s" (Lexer.string_of_token t)))
+  | _ -> None
 
 (* parse one statement; returns (pstmt, tag) or a label/local decl
    handled via the callbacks *)
@@ -349,11 +359,11 @@ let parse_body st =
         go ()
     | IDENT "return" ->
         advance st;
-        if st.tok = SEMI then finish_stmt (Ps (Return None))
-        else begin
-          let a = parse_imm st in
-          finish_stmt (Ps (Return (Some a)))
-        end;
+        (match st.tok with
+        | SEMI -> finish_stmt (Ps (Return None))
+        | _ ->
+            let a = parse_imm st in
+            finish_stmt (Ps (Return (Some a))));
         go ()
     | IDENT "throw" ->
         advance st;
@@ -364,9 +374,9 @@ let parse_body st =
         advance st;
         finish_stmt (Ps Nop);
         go ()
-    | IDENT k when invoke_kw k <> None ->
+    | IDENT (("virtualinvoke" | "specialinvoke" | "staticinvoke") as k) ->
         advance st;
-        let inv = parse_invoke st (Option.get (invoke_kw k)) in
+        let inv = parse_invoke st (invoke_kw k) in
         finish_stmt (Ps (InvokeStmt inv));
         go ()
     | IDENT "static" ->
@@ -490,33 +500,32 @@ let parse_method st ~static ~abstract ~native =
   let name = ident st in
   expect st LPAREN;
   let params =
-    if st.tok = RPAREN then []
-    else begin
-      let rec go acc =
-        let t = parse_type st in
-        if st.tok = COMMA then begin
-          advance st;
-          go (t :: acc)
-        end
-        else List.rev (t :: acc)
-      in
-      go []
-    end
+    match st.tok with
+    | RPAREN -> []
+    | _ ->
+        let rec go acc =
+          let t = parse_type st in
+          match st.tok with
+          | COMMA ->
+              advance st;
+              go (t :: acc)
+          | _ -> List.rev (t :: acc)
+        in
+        go []
   in
   expect st RPAREN;
   let msig = { m_class = st.cls_name; m_name = name; m_params = params; m_ret = ret } in
-  if st.tok = SEMI then begin
-    advance st;
-    Jclass.mk_method ~static ~abstract ~native msig
-  end
-  else begin
-    expect st LBRACE;
-    st.locals <- Hashtbl.create 7;
-    st.order <- [];
-    let body = parse_body st in
-    expect st RBRACE;
-    Jclass.mk_method ~static msig ~body
-  end
+  match st.tok with
+  | SEMI ->
+      advance st;
+      Jclass.mk_method ~static ~abstract ~native msig
+  | _ ->
+      expect st LBRACE;
+      st.locals <- Hashtbl.create 7;
+      st.order <- [];
+      let body = parse_body st in
+      expect st RBRACE;
+      Jclass.mk_method ~static msig ~body
 
 let parse_class st =
   let is_interface =
@@ -546,10 +555,11 @@ let parse_class st =
       advance st;
       let rec go () =
         interfaces := ident st :: !interfaces;
-        if st.tok = COMMA then begin
-          advance st;
-          go ()
-        end
+        match st.tok with
+        | COMMA ->
+            advance st;
+            go ()
+        | _ -> ()
       in
       go ()
   | _ -> ());
