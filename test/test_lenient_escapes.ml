@@ -169,12 +169,84 @@ let test_bad_charrefs () =
             entity)
     [ "&#-5;"; "&#xZZ;"; "&#99999999999999999999999;"; "&#;"; "&nope;" ]
 
+(* regression pins for the two runtime exceptions the µJimple lexer
+   used to let out of [Apk.make_text]: [Failure "int_of_string"] on an
+   integer literal out of range and [Invalid_argument "Char.chr"] on a
+   decimal string escape above 255.  Both are lexical errors at the
+   literal's line (4); the parser reports them as [Parse_error]. *)
+let bad_literal_source stmt =
+  Printf.sprintf
+    {|class com.example.esc.Bad extends android.app.Activity {
+  method void onCreate(android.os.Bundle) {
+    this := @this: com.example.esc.Bad;
+    %s
+    return;
+  }
+}|}
+    stmt
+
+let good_source =
+  {|class com.example.esc.Main extends android.app.Activity {
+  method void onCreate(android.os.Bundle) {
+    this := @this: com.example.esc.Main;
+    return;
+  }
+}|}
+
+let test_bad_literals () =
+  let manifest = base_manifest in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  (* control: the same unit with an in-range literal loads *)
+  ignore (Apk.make_text "esc-app" ~manifest [ bad_literal_source "n = 42;" ]);
+  List.iter
+    (fun (stmt, msg) ->
+      (* strict: typed Load_error naming the line and the lexer's message *)
+      (match Apk.make_text "esc-app" ~manifest [ bad_literal_source stmt ] with
+      | _ -> Alcotest.failf "strict accepted %s" stmt
+      | exception Apk.Load_error e ->
+          Alcotest.(check bool) (stmt ^ ": " ^ e) true
+            (contains e "at line 4: " && contains e msg)
+      | exception e ->
+          Alcotest.failf "strict leaked %s on %s" (Printexc.to_string e) stmt);
+      (* lenient: the unit is skipped with a diagnostic at line 4, the
+         good unit is kept, and loading goes through *)
+      match
+        Apk.make_text ~mode:`Lenient "esc-app" ~manifest
+          [ good_source; bad_literal_source stmt ]
+      with
+      | apk ->
+          let diag =
+            List.find_opt
+              (fun (d : Fd_resilience.Diag.t) ->
+                d.d_line = Some 4 && contains d.d_msg msg
+                && contains d.d_msg "skipped unit")
+              apk.Apk.apk_diags
+          in
+          Alcotest.(check bool) (stmt ^ " diagnosed at line 4") true (diag <> None);
+          Alcotest.(check (list string)) (stmt ^ " keeps the good unit")
+            [ "com.example.esc.Main" ]
+            (List.map (fun c -> c.Fd_ir.Jclass.c_name) apk.Apk.apk_classes);
+          ignore (Apk.load ~mode:`Lenient apk)
+      | exception e ->
+          Alcotest.failf "lenient leaked %s on %s" (Printexc.to_string e) stmt)
+    [
+      ("n = 99999999999999999999999;", "integer literal out of range");
+      ("n = -99999999999999999999999;", "integer literal out of range");
+      ({|s = "\999";|}, {|decimal escape \999 out of range|});
+    ]
+
 let () =
   Alcotest.run "fd_lenient_escapes"
     [
       ( "lenient-escapes",
         Alcotest.test_case "malformed charrefs: typed errors only" `Quick
           test_bad_charrefs
+        :: Alcotest.test_case "out-of-range literals: typed errors only" `Quick
+             test_bad_literals
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_lenient_never_escapes; prop_strict_never_escapes ] );
     ]
