@@ -579,6 +579,57 @@ let test_token_stream_pinned () =
         Out_channel.output_string oc actual);
   Alcotest.(check string) "token stream" expected actual
 
+(* splice fuzz: insert fragments at random offsets inside valid
+   pretty-printed classes, biased to what the lexer must reject or
+   bound — quotes and escapes, long digit runs, negative numbers,
+   comment openers, '<', ':=' and '!' — so that the input gets past
+   [class] and deep into the lexer; only [Parse_error]/[Lex_error]
+   may escape *)
+let splice_bases =
+  Array.of_list
+    (Pretty.class_to_string (simple_class ())
+    :: List.concat_map
+         (fun (a : Fd_droidbench.Bench_app.t) ->
+           List.map Pretty.class_to_string a.app_apk.Fd_frontend.Apk.apk_classes)
+         (List.filteri (fun i _ -> i < 12) Fd_droidbench.Suite.all))
+
+let gen_fragment =
+  let open QCheck.Gen in
+  let digits lo hi = map (String.concat "") (list_size (int_range lo hi) (map string_of_int (int_bound 9))) in
+  frequency
+    [
+      (3, return "\"\\");
+      (2, map (fun d -> "\\" ^ d) (digits 1 3));
+      (3, digits 20 30);
+      (3, map (fun d -> "-" ^ d) (digits 1 25));
+      (2, return "/*");
+      (2, return "<");
+      (2, return ":=");
+      (2, return "!");
+      (1, string_size ~gen:printable (int_bound 4));
+    ]
+
+let gen_splice =
+  let open QCheck.Gen in
+  pair (int_bound (Array.length splice_bases - 1))
+    (list_size (int_range 1 4) (pair nat gen_fragment))
+  |> map (fun (k, frags) ->
+         List.fold_left
+           (fun src (ofs, frag) ->
+             let ofs = ofs mod (String.length src + 1) in
+             String.sub src 0 ofs ^ frag ^ String.sub src ofs (String.length src - ofs))
+           splice_bases.(k) frags)
+
+let prop_parser_splice =
+  QCheck.Test.make ~name:"parser survives fragments spliced into valid classes"
+    ~count:1000 (QCheck.make ~print:(Printf.sprintf "%S") gen_splice)
+    (fun src ->
+      match Parser.parse_string src with
+      | _ -> true
+      | exception Parser.Parse_error _ -> true
+      | exception Lexer.Lex_error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "escaped: %s" (Printexc.to_string e))
+
 let prop_body_succs_in_range =
   QCheck.Test.make ~name:"all successors are valid indices" ~count:100
     (QCheck.make ~print:Pretty.class_to_string gen_prog) (fun c ->
@@ -639,5 +690,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_print_parse_roundtrip; prop_body_succs_in_range;
-            prop_parser_total; prop_parser_mutation ] );
+            prop_parser_total; prop_parser_mutation; prop_parser_splice ] );
     ]
