@@ -13,5 +13,5 @@ exception Parse_error of int * string
 val parse_string : string -> Jclass.t list
 (** [parse_string src] parses a compilation unit: a sequence of class
     and interface declarations.
-    @raise Parse_error on malformed input
-    @raise Lexer.Lex_error on lexical errors *)
+    @raise Parse_error on malformed input, lexical errors included
+    (with the lexer's line and message) *)
