@@ -115,7 +115,7 @@ let read_string_slow t buf =
             (* decimal escape \ddd as produced by OCaml's %S *)
             let j = ref (!i + 1) and n = ref 0 in
             while !j <= !i + 3 && is_digit (char_at t !j) do
-              n := (10 * !n) + Char.code (String.unsafe_get src !j) - 48;
+              n := (10 * !n) + Char.code (char_at t !j) - 48;
               incr j
             done;
             if !n > 255 then begin
