@@ -14,7 +14,10 @@
      any job count;
    - the app-level parallelism contract: the DroidBench and
      SecuriBench tables render bit-identically at --jobs 1 and
-     --jobs 4. *)
+     --jobs 4;
+   - the work pin: verdicts and work counters of a fixed generated
+     corpus, recorded in [work.expected], and a second analysis of
+     each loaded app repeats the first exactly. *)
 
 open Fd_ir
 module AP = Fd_core.Access_path
@@ -272,6 +275,77 @@ let test_securibench_jobs_deterministic () =
   let par = Fd_eval.Securibench_table.render (Fd_eval.Securibench_table.run ~jobs:4 ()) in
   Alcotest.(check string) "securibench table identical at jobs 1 vs 4" seq par
 
+(* ---------------- work pin ---------------- *)
+
+(* Verdicts and [Metrics.with_delta] work counters of 40 Play and 40
+   Malware apps, analysed in one process and folded into one MD5 per
+   profile, recorded in [work.expected].  Every app is analysed twice
+   on the same loaded scene, so the second run re-registers the dummy
+   main over the first one's; it must repeat the first exactly.  On a
+   mismatch the current rendering is written to [work.actual] for
+   diffing. *)
+
+let work_apps = 40
+
+let render_run (r : Fd_core.Infoflow.result) (delta : Fd_obs.Metrics.snapshot)
+    =
+  let flows =
+    List.map
+      (fun (f : Fd_core.Bidi.finding) ->
+        Printf.sprintf "%s -> %s%s" f.Fd_core.Bidi.f_source.Fd_core.Taint.si_desc
+          (Fd_callgraph.Icfg.string_of_node f.Fd_core.Bidi.f_sink_node)
+          (match f.Fd_core.Bidi.f_sink_tag with Some t -> " @" ^ t | None -> ""))
+      r.Fd_core.Infoflow.r_findings
+    |> List.sort compare
+  in
+  let work =
+    List.filter_map
+      (fun (k, v) -> if v = 0 then None else Some (Printf.sprintf "%s=%d" k v))
+      delta.Fd_obs.Metrics.sn_counters
+  in
+  String.concat "\n" (flows @ work)
+
+let analyse_twice (ga : Fd_appgen.Generator.gen_app) =
+  let loaded = Fd_frontend.Apk.load ga.Fd_appgen.Generator.ga_apk in
+  let run () =
+    let r, delta =
+      Fd_obs.Metrics.with_delta (fun () ->
+          Fd_core.Infoflow.analyze_loaded loaded)
+    in
+    render_run r delta
+  in
+  let first = run () in
+  (first, run ())
+
+let test_work_pin () =
+  Fd_core.Infoflow.warm_templates ();
+  let profile_line profile =
+    let apps = Fd_appgen.Generator.corpus ~profile ~seed:3 work_apps in
+    let runs =
+      List.map
+        (fun (ga : Fd_appgen.Generator.gen_app) ->
+          let first, second = analyse_twice ga in
+          Alcotest.(check string)
+            (ga.Fd_appgen.Generator.ga_name ^ " second run repeats the first")
+            first second;
+          ga.Fd_appgen.Generator.ga_name ^ "\n" ^ first)
+        apps
+    in
+    Printf.sprintf "%s %d apps: %s\n"
+      (Fd_appgen.Generator.string_of_profile profile)
+      work_apps
+      (Digest.to_hex (Digest.string (String.concat "\n\n" runs)))
+  in
+  let actual =
+    profile_line Fd_appgen.Generator.Play
+    ^ profile_line Fd_appgen.Generator.Malware
+  in
+  let expected = In_channel.with_open_bin "work.expected" In_channel.input_all in
+  if not (String.equal expected actual) then
+    Out_channel.with_open_bin "work.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+  Alcotest.(check string) "work pin" expected actual
+
 let () =
   Alcotest.run "fd_perf"
     [
@@ -312,5 +386,10 @@ let () =
             test_droidbench_jobs_deterministic;
           Alcotest.test_case "securibench --jobs invariant" `Quick
             test_securibench_jobs_deterministic;
+        ] );
+      ( "work",
+        [
+          Alcotest.test_case "verdicts and work counters pinned" `Quick
+            test_work_pin;
         ] );
     ]
