@@ -368,6 +368,8 @@ let finish_interrupted () =
 
 let () =
   install_interrupt ();
+  (* arm span recording for --trace-out ([run_one] resets again) *)
+  Fd_obs.Trace.reset ();
   (match !dump_dir with
   | Some dir ->
       (match !app_name with

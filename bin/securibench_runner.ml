@@ -38,6 +38,8 @@ let () =
   parse (List.tl (Array.to_list Sys.argv))
 
 let () =
+  (* arm span recording for --trace-out *)
+  Fd_obs.Trace.reset ();
   let t = Fd_eval.Securibench_table.run ~jobs:!jobs () in
   print_string (Fd_eval.Securibench_table.render t);
   (* list any deviations from the expected counts, for debugging *)

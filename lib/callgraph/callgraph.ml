@@ -158,10 +158,10 @@ let build scene ~entry ?(algorithm = Cha) ?(clinit_first_use = false)
       cg_scene = scene;
       cg_algorithm = algorithm;
       cg_entry = entry;
-      cg_out = Hashtbl.create 256;
-      cg_in = Hashtbl.create 256;
-      cg_reachable = Mkey.Tbl.create 256;
-      cg_bodies = Mkey.Tbl.create 256;
+      cg_out = Hashtbl.create 16;
+      cg_in = Hashtbl.create 16;
+      cg_reachable = Mkey.Tbl.create 16;
+      cg_bodies = Mkey.Tbl.create 16;
       cg_clinit = Hashtbl.create (if clinit_first_use then 64 else 1);
       cg_refl = Hashtbl.create (if reflection then 64 else 1);
     }

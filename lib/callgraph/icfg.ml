@@ -38,7 +38,7 @@ type t = {
 }
 
 let create cg =
-  { cg; ic_succs = Node_tbl.create 256; ic_stmts = Node_tbl.create 256 }
+  { cg; ic_succs = Node_tbl.create 16; ic_stmts = Node_tbl.create 16 }
 
 (** [body g m] is the body of method [m] (must be reachable). *)
 let body g m = Callgraph.body_of g.cg m

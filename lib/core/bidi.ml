@@ -192,9 +192,9 @@ type solver = {
 let mk_solver () =
   {
     s_edges = Flat_set.create ();
-    s_summaries = Int_tbl.create 256;
+    s_summaries = Int_tbl.create 16;
     s_sum_seen = Flat_set.create ();
-    s_incoming = Int_tbl.create 256;
+    s_incoming = Int_tbl.create 16;
     s_inc_seen = Flat_set.create ();
     s_work = Queue.create ();
   }
@@ -275,7 +275,7 @@ let create ?budget ?store ?(in_slice = fun _ -> true) ~config ~icfg ~scene
         Fd_resilience.Budget.create ?deadline_s:config.Config.deadline_s
           ~max_propagations:config.Config.max_propagations ()
   in
-  let facts = Fact_pool.create ~size:512 () in
+  let facts = Fact_pool.create ~size:16 () in
   let prov = if config.Config.provenance then Some (Prov.create ()) else None in
   (* the zero fact's pool id, for witness-prefix trimming; interned
      only when provenance is on so a default run's pool statistics are
@@ -291,11 +291,11 @@ let create ?budget ?store ?(in_slice = fun _ -> true) ~config ~icfg ~scene
     wrappers;
     natives;
     facts;
-    minfos = Mkey.Tbl.create 256;
+    minfos = Mkey.Tbl.create 16;
     n_minfos = 0;
-    ninfos = Node_tbl.create 512;
+    ninfos = Node_tbl.create 16;
     n_ninfos = 0;
-    cctxs = I2_tbl.create 256;
+    cctxs = I2_tbl.create 16;
     n_cctxs = 0;
     fw = mk_solver ();
     bw = mk_solver ();
@@ -312,7 +312,7 @@ let create ?budget ?store ?(in_slice = fun _ -> true) ~config ~icfg ~scene
     zero_fid;
     cur_node = -1;
     cur_fact = -1;
-    ninfos_by_id = Int_tbl.create 512;
+    ninfos_by_id = Int_tbl.create 16;
     store;
     cx_reports = Int_tbl.create 64;
     injected_cxs = Int_tbl.create 64;

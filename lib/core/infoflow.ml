@@ -90,7 +90,7 @@ let run_engine ?(config = Config.default) ?(phase = no_hook) ?budget
     ?(diags = []) ~scene ~mgr ~wrappers ~natives ~entries () =
   Fd_obs.Metrics.time h_analysis @@ fun () ->
   record_precision config.Config.precision;
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   Log.debug (fun m ->
       m "analysis starting with %d entry point(s)" (List.length entries));
   (* demand-driven targeted mode: text-index the scene for matching
@@ -152,7 +152,7 @@ let run_engine ?(config = Config.default) ?(phase = no_hook) ?budget
   in
   Fd_obs.Trace.with_span "taint.solve" (fun () ->
       Fd_obs.Metrics.time h_solve (fun () -> Bidi.run engine ~entries));
-  let t1 = Sys.time () in
+  let t1 = Unix.gettimeofday () in
   let outcome = Bidi.outcome engine in
   let diags =
     if Fd_resilience.Outcome.is_complete outcome then diags
@@ -485,7 +485,7 @@ let with_fallback ~(config : Config.t) (run : label:string -> Config.t -> result
         | None -> raise (Fallback_failed (List.rev attempts)))
     | (label, cfg) :: rest -> (
         if attempts <> [] then Fd_obs.Metrics.incr m_ladder_retries;
-        let t0 = Sys.time () in
+        let t0 = Unix.gettimeofday () in
         match
           Fd_resilience.Barrier.protect ~label (fun () -> run ~label cfg)
         with
@@ -495,7 +495,7 @@ let with_fallback ~(config : Config.t) (run : label:string -> Config.t -> result
                 at_label = label;
                 at_outcome = result.r_stats.st_outcome;
                 at_findings = List.length result.r_findings;
-                at_time = Sys.time () -. t0;
+                at_time = Unix.gettimeofday () -. t0;
               }
             in
             if Outcome.is_complete result.r_stats.st_outcome then begin
@@ -524,7 +524,7 @@ let with_fallback ~(config : Config.t) (run : label:string -> Config.t -> result
                 at_label = label;
                 at_outcome = outcome;
                 at_findings = 0;
-                at_time = Sys.time () -. t0;
+                at_time = Unix.gettimeofday () -. t0;
               }
             in
             let stash =

@@ -152,7 +152,7 @@ type attempt = {
   at_label : string;  (** ladder rung, e.g. ["full"], ["k=3"] *)
   at_outcome : Fd_resilience.Outcome.t;
   at_findings : int;
-  at_time : float;  (** CPU seconds spent on this rung *)
+  at_time : float;  (** wall-clock seconds spent on this rung *)
 }
 
 type completeness =

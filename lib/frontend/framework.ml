@@ -203,12 +203,18 @@ let install scene =
 
 (** [fresh_scene ()] is a new scene with the skeleton installed.  The
     skeleton is built once into a template and copied per call — the
-    install itself is pure, and every analysis run starts from one. *)
+    install itself is pure, and every analysis run starts from one.
+    The template also carries the skeleton classes' supertypes: they
+    never change, and registering an application class keeps them
+    (see {!Scene}). *)
 let fresh_scene =
   let template =
     lazy
       (let sc = Scene.create () in
        install sc;
+       List.iter
+         (fun (c : Jclass.t) -> ignore (Scene.supertypes sc c.Jclass.c_name))
+         (Scene.all_classes sc);
        sc)
   in
   fun () -> Scene.copy (Lazy.force template)

@@ -4,17 +4,32 @@
     (framework classes beyond the modelled skeleton, third-party
     libraries) are treated as *phantom*: they exist in the hierarchy
     directly below [java.lang.Object] unless a skeleton entry says
-    otherwise, and their methods have no bodies. *)
+    otherwise, and their methods have no bodies.
+
+    [supertypes], [subtypes], [dispatch_targets] and [resolve_concrete]
+    are memoised: call graphs are rebuilt several times per app
+    (callback discovery iterates), and every virtual site asks for its
+    dispatch cone on each build.  Registering a class C keeps every
+    memo entry whose answer cannot change:
+
+    - when no registered class names C as its direct superclass or an
+      interface, only C's own supertypes, the [resolve_concrete]
+      entries starting at C, and the [subtypes] and [dispatch_targets]
+      entries keyed on one of C's old or new supertypes are dropped.
+      No other class reaches C through the hierarchy, so no other
+      answer mentions it;
+    - when some registered class does name C (a count per name, kept
+      in [named]), or when the class table grows its bucket array
+      (which reorders [Hashtbl] folds, and [subtypes] lists follow
+      that order), every memo is cleared. *)
 
 open Jclass
 
 type t = {
   classes : (string, Jclass.t) Hashtbl.t;
-  (* memoised hierarchy queries — call graphs are rebuilt several
-     times per app (callback discovery iterates), and every virtual
-     site asks for its dispatch cone each build, so these dominate
-     construction time when recomputed; any class-table mutation
-     clears them *)
+  named : (string, int) Hashtbl.t;
+      (** how often registered classes name each class as their direct
+          superclass or an interface *)
   sc_supertypes : (string, string list) Hashtbl.t;
   sc_subtypes : (string, Jclass.t list) Hashtbl.t;
   sc_dispatch :
@@ -27,9 +42,12 @@ type t = {
 
 exception Duplicate_class of string
 
+let initial_size = 97
+
 let create () =
   {
-    classes = Hashtbl.create 97;
+    classes = Hashtbl.create initial_size;
+    named = Hashtbl.create 97;
     sc_supertypes = Hashtbl.create 97;
     sc_subtypes = Hashtbl.create 97;
     sc_dispatch = Hashtbl.create 97;
@@ -39,11 +57,11 @@ let create () =
 (** [copy t] is an independent scene with the same classes: mutations
     of either copy never affect the other.  [Jclass.t] values are
     immutable, so the class table is copied shallowly; the memo caches
-    are still valid for the copied table and are shared content-wise
-    the same way. *)
+    are still valid for the copied table and are copied with it. *)
 let copy t =
   {
     classes = Hashtbl.copy t.classes;
+    named = Hashtbl.copy t.named;
     sc_supertypes = Hashtbl.copy t.sc_supertypes;
     sc_subtypes = Hashtbl.copy t.sc_subtypes;
     sc_dispatch = Hashtbl.copy t.sc_dispatch;
@@ -56,36 +74,11 @@ let invalidate t =
   Hashtbl.reset t.sc_dispatch;
   Hashtbl.reset t.sc_concrete
 
-(** [add_class t c] registers [c].
-    @raise Duplicate_class if a class of the same name exists. *)
-let add_class t (c : Jclass.t) =
-  if Hashtbl.mem t.classes c.c_name then raise (Duplicate_class c.c_name);
-  invalidate t;
-  Hashtbl.replace t.classes c.c_name c
-
-(** [add_or_replace t c] registers [c], replacing any previous
-    definition — used to upgrade a phantom skeleton entry to a real
-    class. *)
-let add_or_replace t (c : Jclass.t) =
-  invalidate t;
-  Hashtbl.replace t.classes c.c_name c
-
 (** [find_class t name] is the registered class, if any. *)
 let find_class t name = Hashtbl.find_opt t.classes name
 
 (** [mem t name] holds when [name] is registered. *)
 let mem t name = Hashtbl.mem t.classes name
-
-(** [resolve t name] is like {!find_class} but materialises a phantom
-    class (extending [java.lang.Object]) on a miss. *)
-let resolve t name =
-  match Hashtbl.find_opt t.classes name with
-  | Some c -> c
-  | None ->
-      let c = Jclass.mk ~phantom:true name in
-      invalidate t;
-      Hashtbl.replace t.classes name c;
-      c
 
 (** [all_classes t] lists every registered class (unspecified order). *)
 let all_classes t = Hashtbl.fold (fun _ c acc -> c :: acc) t.classes []
@@ -139,6 +132,82 @@ let supertypes t name =
       in
       Hashtbl.replace t.sc_supertypes name sups;
       sups
+
+(* the classes [c] names as its direct superclass or an interface *)
+let named_by (c : Jclass.t) =
+  match c.c_super with Some s -> s :: c.c_interfaces | None -> c.c_interfaces
+
+let count_named t (c : Jclass.t) delta =
+  List.iter
+    (fun n ->
+      match Option.value (Hashtbl.find_opt t.named n) ~default:0 + delta with
+      | 0 -> Hashtbl.remove t.named n
+      | k -> Hashtbl.replace t.named n k)
+    (named_by c)
+
+let bucket_count t = (Hashtbl.stats t.classes).Hashtbl.num_buckets
+
+(* registers [c] and drops the memo entries it can change (see the
+   header).  The stdlib grows a table when an insertion takes its
+   size past twice its bucket count, a power of two no smaller than
+   the size the table was created with.  So only an insertion into a
+   class table of power-of-two size, at least twice [initial_size],
+   can grow it; the bucket count is read just then. *)
+let register t (c : Jclass.t) =
+  let name = c.c_name in
+  let old = Hashtbl.find_opt t.classes name in
+  let n = Hashtbl.length t.classes in
+  let buckets =
+    if Option.is_none old && n >= 2 * initial_size && n land (n - 1) = 0 then
+      bucket_count t
+    else -1
+  in
+  let named = Hashtbl.mem t.named name in
+  let cones = Hashtbl.length t.sc_subtypes + Hashtbl.length t.sc_dispatch > 0 in
+  (* a new class's old supertypes are itself and [java.lang.Object],
+     which its new ones include *)
+  let before =
+    match old with Some _ when cones && not named -> supertypes t name | _ -> []
+  in
+  Option.iter (fun o -> count_named t o (-1)) old;
+  count_named t c 1;
+  Hashtbl.replace t.classes name c;
+  if named || (buckets >= 0 && bucket_count t <> buckets) then invalidate t
+  else begin
+    Hashtbl.remove t.sc_supertypes name;
+    if cones then begin
+      let keys = List.rev_append before (supertypes t name) in
+      List.iter (Hashtbl.remove t.sc_subtypes) keys;
+      Hashtbl.filter_map_inplace
+        (fun (st, _, _) ts -> if List.mem st keys then None else Some ts)
+        t.sc_dispatch
+    end;
+    if Hashtbl.length t.sc_concrete > 0 then
+      Hashtbl.filter_map_inplace
+        (fun (cls, _, _) r -> if String.equal cls name then None else Some r)
+        t.sc_concrete
+  end
+
+(** [add_class t c] registers [c].
+    @raise Duplicate_class if a class of the same name exists. *)
+let add_class t (c : Jclass.t) =
+  if Hashtbl.mem t.classes c.c_name then raise (Duplicate_class c.c_name);
+  register t c
+
+(** [add_or_replace t c] registers [c], replacing any previous
+    definition — used to upgrade a phantom skeleton entry to a real
+    class. *)
+let add_or_replace t (c : Jclass.t) = register t c
+
+(** [resolve t name] is like {!find_class} but materialises a phantom
+    class (extending [java.lang.Object]) on a miss. *)
+let resolve t name =
+  match Hashtbl.find_opt t.classes name with
+  | Some c -> c
+  | None ->
+      let c = Jclass.mk ~phantom:true name in
+      register t c;
+      c
 
 (** [is_subtype t sub sup] decides the subtype relation, treating every
     class as a subtype of [java.lang.Object] and of itself. *)

@@ -5,7 +5,15 @@
     modelled skeleton, third-party libraries) are treated as
     {e phantom}: they exist in the hierarchy directly below
     [java.lang.Object] unless a skeleton entry says otherwise, and
-    their methods have no bodies. *)
+    their methods have no bodies.
+
+    {!supertypes}, {!subtypes}, {!dispatch_targets} and
+    {!resolve_concrete} are memoised.  Registering a class ({!add_class},
+    {!add_or_replace}, or {!resolve} on a miss) drops only the memo
+    entries whose answer it can change, unless another registered
+    class names it as its direct superclass or an interface, or the
+    class table grows its bucket array; then every memo is cleared.
+    Answers never depend on the memo's history. *)
 
 type t
 
@@ -19,11 +27,19 @@ val copy : t -> t
     the framework-skeleton template) *)
 
 val add_class : t -> Jclass.t -> unit
-(** @raise Duplicate_class if a class of the same name exists. *)
+(** registers a class.  Of the memo, it drops the class's own
+    supertypes and [resolve_concrete] entries, and the [subtypes] and
+    [dispatch_targets] entries keyed on one of its supertypes; it
+    clears the whole memo when a registered class names the new one as
+    its direct superclass or an interface, or when the class table
+    grows.
+    @raise Duplicate_class if a class of the same name exists. *)
 
 val add_or_replace : t -> Jclass.t -> unit
 (** registers a class, replacing any previous definition — used to
-    upgrade a phantom skeleton entry or regenerate the dummy main *)
+    upgrade a phantom skeleton entry or regenerate the dummy main.
+    Drops memo entries as {!add_class} does, keyed on the supertypes
+    of both the old and the new definition. *)
 
 val find_class : t -> string -> Jclass.t option
 val mem : t -> string -> bool

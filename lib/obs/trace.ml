@@ -1,12 +1,16 @@
 (** Span-based phase tracing (see the interface).
 
-    Each domain records spans into its own store ([Domain.DLS]), so
-    tracing from inside a {!Fd_util.Pool} worker is safe and lock-free
-    on the hot path; stores register themselves in a global list on
-    first use, and every read-out ({!spans}, {!aggregate}, exports)
-    merges the stores in worker order with parent indices rebased into
-    the merged array.  Within one store, spans sit in start order, so
-    a parent always precedes its children. *)
+    Each domain records into its own store ([Domain.DLS]), so tracing
+    from inside a {!Fd_util.Pool} worker is safe and lock-free on the
+    hot path; stores register themselves in a global list on first
+    use.  A store keeps a running total per span name, always, and the
+    span tree only once {!reset} has armed recording: a process that
+    never exports a trace (the serve daemon, library users) keeps a
+    few totals instead of one record per span.  Read-outs merge the
+    stores in worker order: {!aggregate} sums the totals, {!spans} and
+    the exports rebase parent indices into the merged array.  Within
+    one store, spans sit in start order, so a parent always precedes
+    its children. *)
 
 type span = {
   sp_name : string;
@@ -19,6 +23,13 @@ type span = {
 let dummy_span =
   { sp_name = ""; sp_start = 0.; sp_dur = 0.; sp_depth = 0; sp_parent = -1 }
 
+(* the running total of one span name *)
+type total = { t_name : string; mutable t_sec : float; mutable t_count : int }
+
+(* an open span: its start time, and its index in [ds_spans], or -1
+   when it is not recorded *)
+type frame = { f_name : string; f_start : float; f_idx : int }
+
 (* one per-domain span store: the owning domain mutates it without
    locking; other domains only read it under [stores_lock] via the
    merge functions below *)
@@ -26,13 +37,17 @@ type dstore = {
   ds_tid : int;  (** stable thread id for the Chrome export *)
   mutable ds_spans : span array;
   mutable ds_count : int;
-  mutable ds_stack : int list;  (** open spans, indices into [ds_spans] *)
+  mutable ds_stack : frame list;  (** open spans, innermost first *)
+  mutable ds_totals : total list;  (** closed spans per name *)
 }
 
 let stores_lock = Mutex.create ()
 let stores : dstore list ref = ref []
 let next_tid = Atomic.make 1
 let epoch = Atomic.make nan
+
+(* whether stores record the span tree; armed by the first [reset] *)
+let recording = Atomic.make false
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
@@ -42,6 +57,7 @@ let dls_key =
           ds_spans = Array.make 64 dummy_span;
           ds_count = 0;
           ds_stack = [];
+          ds_totals = [];
         }
       in
       Mutex.lock stores_lock;
@@ -74,29 +90,40 @@ let push ds sp =
 let begin_span name =
   let ds = my () in
   let t = now () in
-  ensure_epoch t;
-  let parent = match ds.ds_stack with [] -> -1 | p :: _ -> p in
   let idx =
-    push ds
-      {
-        sp_name = name;
-        sp_start = t -. Atomic.get epoch;
-        sp_dur = 0.;
-        sp_depth = List.length ds.ds_stack;
-        sp_parent = parent;
-      }
+    if not (Atomic.get recording) then -1
+    else begin
+      ensure_epoch t;
+      push ds
+        {
+          sp_name = name;
+          sp_start = t -. Atomic.get epoch;
+          sp_dur = 0.;
+          sp_depth = List.length ds.ds_stack;
+          sp_parent = (match ds.ds_stack with [] -> -1 | f :: _ -> f.f_idx);
+        }
+    end
   in
-  ds.ds_stack <- idx :: ds.ds_stack
+  ds.ds_stack <- { f_name = name; f_start = t; f_idx = idx } :: ds.ds_stack
+
+let add_total ds name dur =
+  match List.find_opt (fun tt -> String.equal tt.t_name name) ds.ds_totals with
+  | Some tt ->
+      tt.t_sec <- tt.t_sec +. dur;
+      tt.t_count <- tt.t_count + 1
+  | None ->
+      ds.ds_totals <- { t_name = name; t_sec = dur; t_count = 1 } :: ds.ds_totals
 
 let end_span () =
   let ds = my () in
   match ds.ds_stack with
   | [] -> invalid_arg "Trace.end_span: no open span"
-  | idx :: rest ->
+  | f :: rest ->
       ds.ds_stack <- rest;
-      let sp = ds.ds_spans.(idx) in
-      ds.ds_spans.(idx) <-
-        { sp with sp_dur = now () -. Atomic.get epoch -. sp.sp_start }
+      let dur = now () -. f.f_start in
+      add_total ds f.f_name dur;
+      if f.f_idx >= 0 then
+        ds.ds_spans.(f.f_idx) <- { (ds.ds_spans.(f.f_idx)) with sp_dur = dur }
 
 let with_span name f =
   begin_span name;
@@ -135,21 +162,21 @@ let merged () =
 let spans () = Array.to_list (Array.map fst (merged ()))
 
 let aggregate () =
-  let tbl : (string, float ref * int ref) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun (sp, _) ->
-      let dur, n =
-        match Hashtbl.find_opt tbl sp.sp_name with
-        | Some cell -> cell
-        | None ->
-            let cell = (ref 0., ref 0) in
-            Hashtbl.replace tbl sp.sp_name cell;
-            cell
-      in
-      dur := !dur +. sp.sp_dur;
-      n := !n + 1)
-    (merged ());
-  Hashtbl.fold (fun name (dur, n) acc -> (name, !dur, !n) :: acc) tbl []
+  let tbl : (string, total) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun ds ->
+      List.iter
+        (fun tt ->
+          match Hashtbl.find_opt tbl tt.t_name with
+          | Some acc ->
+              acc.t_sec <- acc.t_sec +. tt.t_sec;
+              acc.t_count <- acc.t_count + tt.t_count
+          | None ->
+              Hashtbl.replace tbl tt.t_name
+                { t_name = tt.t_name; t_sec = tt.t_sec; t_count = tt.t_count })
+        ds.ds_totals)
+    (store_list ());
+  Hashtbl.fold (fun name tt acc -> (name, tt.t_sec, tt.t_count) :: acc) tbl []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 let reset () =
@@ -157,9 +184,11 @@ let reset () =
   List.iter
     (fun ds ->
       ds.ds_count <- 0;
-      ds.ds_stack <- [])
+      ds.ds_stack <- [];
+      ds.ds_totals <- [])
     !stores;
   Atomic.set epoch nan;
+  Atomic.set recording true;
   Mutex.unlock stores_lock
 
 let to_chrome_json () =

@@ -9,8 +9,11 @@
     - a plain-text tree summary ({!summary}) with per-span durations;
     - per-phase aggregate durations ({!aggregate}) for stats JSON.
 
-    Timestamps are wall-clock, relative to the first span after the
-    last {!reset}.
+    Per-name totals are always kept.  The span tree behind {!spans} and
+    the exports is recorded only once {!reset} has been called, so a
+    long-lived process that never exports a trace keeps a bounded
+    store.  Timestamps are wall-clock, relative to the first span after
+    the last {!reset}.
 
     Domain-safety: each domain records into its own store (hot path is
     lock-free); read-outs merge all stores in worker order, and the
@@ -37,15 +40,18 @@ val depth : unit -> int
 (** number of currently open spans *)
 
 val spans : unit -> span list
-(** completed and open spans, in start order *)
+(** completed and open spans recorded since the last {!reset}, in
+    start order; empty if {!reset} was never called *)
 
 val aggregate : unit -> (string * float * int) list
-(** [(name, total_seconds, count)] per distinct span name, sorted by
-    name.  Nested spans count toward their own name only. *)
+(** [(name, total_seconds, count)] per distinct span name over the
+    spans closed since the last {!reset} (since start-up if there was
+    none), sorted by name.  Nested spans count toward their own name
+    only. *)
 
 val reset : unit -> unit
-(** drop all recorded spans and re-arm the epoch; open spans are
-    discarded *)
+(** drop all recorded spans and totals, re-arm the epoch, and record
+    the span tree from now on; open spans are discarded *)
 
 val to_chrome_json : unit -> Json.t
 (** the ["traceEvents"] document: one complete ("ph":"X") event per

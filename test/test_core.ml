@@ -775,6 +775,47 @@ let test_results_at_pinned () =
   Alcotest.(check int) "entry holds only the zero fact" 0
     (List.length (Bidi.results_at r.Infoflow.r_engine entry))
 
+(* ---------------- timing ---------------- *)
+
+(* regression: [st_time] was [Sys.time], the CPU time of the whole
+   process, so with analyses running in two domains each read up to
+   twice its own wall time (and so did [TotalRuntimeSeconds] and serve
+   [solve_ms]).  Two domains start together and each analyses its own
+   copy of 20 apps; every [st_time] must fit inside the wall time
+   measured around its call. *)
+let test_st_time_is_wall_time () =
+  Infoflow.warm_templates ();
+  let apps =
+    Fd_appgen.Generator.corpus ~profile:Fd_appgen.Generator.Malware ~seed:5 20
+  in
+  let started = Atomic.make 0 in
+  let worker () =
+    let loaded =
+      List.map
+        (fun (ga : Fd_appgen.Generator.gen_app) ->
+          Fd_frontend.Apk.load ga.Fd_appgen.Generator.ga_apk)
+        apps
+    in
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.map
+      (fun l ->
+        let t0 = Unix.gettimeofday () in
+        let r = Infoflow.analyze_loaded l in
+        (r.Infoflow.r_stats.Infoflow.st_time, Unix.gettimeofday () -. t0))
+      loaded
+  in
+  let other = Domain.spawn worker in
+  let mine = worker () in
+  List.iter
+    (fun (st, wall) ->
+      if st > wall then
+        Alcotest.failf "st_time %.6f s exceeds the call's wall time %.6f s" st
+          wall)
+    (mine @ Domain.join other)
+
 let () =
   Alcotest.run "fd_core"
     [
@@ -842,6 +883,11 @@ let () =
         [
           Alcotest.test_case "per-node results pinned" `Quick
             test_results_at_pinned;
+        ] );
+      ( "timing",
+        [
+          Alcotest.test_case "st_time is wall time across domains" `Quick
+            test_st_time_is_wall_time;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

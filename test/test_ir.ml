@@ -240,6 +240,166 @@ let test_superclasses_chain () =
     [ "t.Mid"; "t.Base"; "java.lang.Object" ]
     (Scene.superclasses sc "t.Leaf")
 
+(* ---------------- scene memo: differential ---------------- *)
+
+(* Random registration sequences interleaved with hierarchy queries:
+   after every step, each answer of the memoising scene must equal the
+   answer of a scene built fresh from the same registrations in the
+   same order.  A small name universe makes classes name each other
+   often (subclasses registered before their superclasses, interface
+   cycles), and [Fill_to] steps bring the class table to exactly 128
+   or 256 entries, so that the next registration of a new class
+   doubles its bucket array while memo entries are live.  Every registered class carries a field
+   named after its registration number, so an answer holding a
+   replaced class's old record shows up as a difference. *)
+
+type scene_op =
+  | Add of Jclass.t  (** [add_class]; a duplicate raises in both scenes *)
+  | Replace of Jclass.t  (** [add_or_replace] *)
+  | Resolve of string
+  | Fill_to of int  (** add filler classes up to this many classes *)
+  | Copy  (** continue on a [Scene.copy] of the memoising scene *)
+
+let memo_names =
+  [ "A"; "B"; "C"; "D"; "I"; "J"; "java.lang.Object"; "Missing" ]
+
+let memo_subsigs = [ ("m", []); ("n", [ T.Int ]) ]
+
+(* superclass chains only run up [memo_names] (a superclass cycle would
+   not terminate [resolve_concrete]); interfaces may name anything *)
+let gen_memo_class serial =
+  let open QCheck.Gen in
+  let* i = int_bound (List.length memo_names - 1) in
+  let name = List.nth memo_names i in
+  let above = List.filteri (fun j _ -> j > i) memo_names in
+  let* super = if above = [] then return None else opt (oneofl above) in
+  let* interfaces = list_size (int_bound 2) (oneofl [ "I"; "J"; "A" ]) in
+  let* is_interface = frequency [ (4, return false); (1, return true) ] in
+  let* meths =
+    list_size (int_bound 2)
+      (pair (oneofl memo_subsigs) bool)
+  in
+  let methods =
+    List.map
+      (fun ((mn, ps), abstract) ->
+        Jclass.mk_method ~abstract (Types.mk_method ~params:ps name mn))
+      meths
+  in
+  let fields = [ Types.mk_field name (Printf.sprintf "gen%d" serial) ] in
+  return
+    (Jclass.mk name ~super ~interfaces ~is_interface ~fields ~methods)
+
+(* filler [i] extends one of [memo_names], so it lands in their
+   [subtypes] lists *)
+let filler i =
+  let name = Printf.sprintf "F%d" i in
+  Jclass.mk name
+    ~super:(Some (List.nth memo_names (i mod List.length memo_names)))
+    ~fields:[ Types.mk_field name "filler" ]
+    ~methods:
+      (if i mod 3 = 0 then [ Jclass.mk_method (Types.mk_method name "m") ]
+       else [])
+
+let gen_scene_ops =
+  let open QCheck.Gen in
+  let serial = ref 0 in
+  let next () = incr serial; !serial in
+  let op =
+    frequency
+      [
+        (4, map (fun c -> Add c) (delay (fun () -> gen_memo_class (next ()))));
+        (4, map (fun c -> Replace c) (delay (fun () -> gen_memo_class (next ()))));
+        (2, map (fun n -> Resolve n) (oneofl memo_names));
+        (2, map (fun () -> Resolve (Printf.sprintf "P%d" (next ()))) unit);
+        (1, map (fun n -> Fill_to n) (oneofl [ 128; 256; 256 ]));
+        (1, return Copy);
+      ]
+  in
+  list_size (int_range 1 30) op
+
+let apply_op sc = function
+  | Add c -> (
+      try Scene.add_class sc c with Scene.Duplicate_class _ -> ())
+  | Replace c -> Scene.add_or_replace sc c
+  | Resolve n -> ignore (Scene.resolve sc n)
+  | Fill_to n ->
+      for i = List.length (Scene.all_classes sc) to n - 1 do
+        Scene.add_class sc (filler i)
+      done
+  | Copy -> ()
+
+let show_op = function
+  | Add c -> "add " ^ c.Jclass.c_name
+  | Replace c -> "replace " ^ c.Jclass.c_name
+  | Resolve n -> "resolve " ^ n
+  | Fill_to n -> Printf.sprintf "fill to %d" n
+  | Copy -> "copy"
+
+(* a class's identity: its name and its registration number (phantoms
+   materialised by [resolve] have none) *)
+let class_id (c : Jclass.t) =
+  c.Jclass.c_name
+  ^ String.concat "" (List.map (fun f -> "#" ^ f.Types.f_name) c.Jclass.c_fields)
+
+let pair_id (c, (m : Jclass.jmethod)) =
+  class_id c ^ "." ^ m.Jclass.jm_sig.Types.m_name
+
+(* every answer the memo serves, rendered; querying also fills the
+   memo of the scene being asked *)
+let scene_answers sc =
+  List.concat_map
+    (fun n ->
+      [
+        "sup " ^ n ^ ": " ^ String.concat "," (Scene.supertypes sc n);
+        "sub " ^ n ^ ": "
+        ^ String.concat "," (List.map class_id (Scene.subtypes sc n));
+        "is " ^ n ^ ": "
+        ^ String.concat ","
+            (List.map
+               (fun m -> if Scene.is_subtype sc n m then "1" else "0")
+               memo_names);
+      ]
+      @ List.concat_map
+          (fun ((mn, _) as subsig) ->
+            [
+              "dispatch " ^ n ^ "." ^ mn ^ ": "
+              ^ String.concat ","
+                  (List.map pair_id
+                     (Scene.dispatch_targets sc ~static_type:n subsig));
+              "concrete " ^ n ^ "." ^ mn ^ ": "
+              ^ (match Scene.resolve_concrete sc n subsig with
+                | Some p -> pair_id p
+                | None -> "-");
+            ])
+          memo_subsigs)
+    memo_names
+
+let prop_scene_memo_differential =
+  QCheck.Test.make ~name:"scene memo answers equal a fresh scene's"
+    ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       gen_scene_ops)
+    (fun ops ->
+      let memo = ref (Scene.create ()) in
+      ignore (scene_answers !memo);
+      List.for_all
+        (fun (i, op) ->
+          (match op with Copy -> memo := Scene.copy !memo | _ -> ());
+          apply_op !memo op;
+          let fresh = Scene.create () in
+          List.iteri (fun j o -> if j <= i then apply_op fresh o) ops;
+          let got = scene_answers !memo and want = scene_answers fresh in
+          List.equal String.equal got want
+          || QCheck.Test.fail_reportf "after step %d (%s):\n%s" i (show_op op)
+               (String.concat "\n"
+                  (List.filter_map
+                     (fun (g, w) ->
+                       if String.equal g w then None
+                       else Some (Printf.sprintf "memo  %s\nfresh %s" g w))
+                     (List.combine got want))))
+        (List.mapi (fun i op -> (i, op)) ops))
+
 (* ---------------- pretty / parser round-trip ---------------- *)
 
 let leakage_like () =
@@ -677,6 +837,7 @@ let () =
             test_resolve_concrete_inherited;
           Alcotest.test_case "duplicate class" `Quick test_duplicate_class;
           Alcotest.test_case "superclass chain" `Quick test_superclasses_chain;
+          QCheck_alcotest.to_alcotest prop_scene_memo_differential;
         ] );
       ( "text",
         [

@@ -244,6 +244,22 @@ let test_reset_isolates () =
 
 (* ---------------- span tracing ---------------- *)
 
+(* regression: every span used to be recorded, and a process that
+   never calls [reset] (the serve daemon) kept one record per span
+   forever.  Until the first [reset], only per-name totals are kept.
+   This runs as the suite's first test, before any [fresh ()]. *)
+let test_span_store_bounded_without_reset () =
+  for i = 1 to 1000 do
+    T.with_span (if i mod 4 = 0 then "outer" else "leaf") (fun () -> ())
+  done;
+  T.with_span "outer" (fun () -> T.with_span "leaf" (fun () -> ()));
+  Alcotest.(check int) "no span tree kept" 0 (List.length (T.spans ()));
+  Alcotest.(check (list (pair string int)))
+    "exact per-name counts"
+    [ ("leaf", 751); ("outer", 251) ]
+    (List.map (fun (n, _, c) -> (n, c)) (T.aggregate ()));
+  Alcotest.(check int) "nothing left open" 0 (T.depth ())
+
 let test_span_nesting () =
   fresh ();
   Alcotest.(check int) "no open span" 0 (T.depth ());
@@ -448,6 +464,11 @@ let test_provenance_engine () =
 let () =
   Alcotest.run "fd_obs"
     [
+      ( "span store",
+        [
+          Alcotest.test_case "bounded without reset" `Quick
+            test_span_store_bounded_without_reset;
+        ] );
       ( "metrics",
         [
           Alcotest.test_case "counter basics" `Quick test_counter_basics;
