@@ -247,11 +247,12 @@ let test_superclasses_chain () =
    answer of a scene built fresh from the same registrations in the
    same order.  A small name universe makes classes name each other
    often (subclasses registered before their superclasses, interface
-   cycles), and [Fill_to] steps bring the class table to exactly 128
-   or 256 entries, so that the next registration of a new class
-   doubles its bucket array while memo entries are live.  Every registered class carries a field
-   named after its registration number, so an answer holding a
-   replaced class's old record shows up as a difference. *)
+   cycles).  [Fill_to 256] brings the class table to the size at which
+   the next new class doubles its 128-bucket array, and queries run
+   in between, so memo entries are live when it grows.  Every
+   registered class carries a field named after its registration
+   number, so an answer holding a replaced class's old record shows
+   up as a difference. *)
 
 type scene_op =
   | Add of Jclass.t  (** [add_class]; a duplicate raises in both scenes *)
@@ -275,10 +276,7 @@ let gen_memo_class serial =
   let* super = if above = [] then return None else opt (oneofl above) in
   let* interfaces = list_size (int_bound 2) (oneofl [ "I"; "J"; "A" ]) in
   let* is_interface = frequency [ (4, return false); (1, return true) ] in
-  let* meths =
-    list_size (int_bound 2)
-      (pair (oneofl memo_subsigs) bool)
-  in
+  let* meths = list_size (int_bound 2) (pair (oneofl memo_subsigs) bool) in
   let methods =
     List.map
       (fun ((mn, ps), abstract) ->
