@@ -11,7 +11,9 @@
    - corrupt / truncated / alien entries degrade to misses with
      diagnostics, never to crashes or wrong verdicts;
    - an unwritable store directory degrades to read-only;
-   - concurrent writers under [Pool.map] leave only valid entries. *)
+   - concurrent writers under [Pool.map] leave only valid entries;
+   - the persisted payloads of a fixed generated fleet, in persist
+     order, are pinned in [store.expected]. *)
 
 module Json = Fd_obs.Json
 module Metrics = Fd_obs.Metrics
@@ -170,6 +172,41 @@ let test_roundtrip () =
       | _ -> Alcotest.fail "payload without cxs")
     payloads;
   Alcotest.(check bool) "facts round-tripped" true (!facts > 0)
+
+(* ------------------------------------------------------------------ *)
+(* persist-order pin                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every (method digest, payload) the capture backend receives for a
+   fixed generated fleet, in the order the engine persisted them, folded
+   into one MD5 recorded in [store.expected].  A payload lists each
+   context's end summaries in the engine's own order, so the pin fails
+   when a refactor of the solver tables reorders them.  On a mismatch
+   the folded lines are written to [store.actual] for diffing. *)
+let test_persist_pin () =
+  let fleet =
+    Gen.corpus ~profile:Gen.Play ~seed:3 6
+    @ Gen.corpus ~profile:Gen.Malware ~seed:3 6
+  in
+  let lines =
+    List.concat_map
+      (fun (ga : Gen.gen_app) ->
+        with_capture (fun captured ->
+            ignore (analyze ~dir:"capture" ga.Gen.ga_apk);
+            List.rev_map (fun (d, p) -> d ^ " " ^ p) !captured))
+      fleet
+  in
+  let actual =
+    Printf.sprintf "%d apps, %d payloads: %s\n" (List.length fleet)
+      (List.length lines)
+      (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+  in
+  let expected = In_channel.with_open_bin "store.expected" In_channel.input_all in
+  if not (String.equal expected actual) then
+    Out_channel.with_open_bin "store.actual" (fun oc ->
+        Out_channel.output_string oc actual;
+        List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+  Alcotest.(check string) "store pin" expected actual
 
 (* ------------------------------------------------------------------ *)
 (* hot vs cold verdict equality                                        *)
@@ -374,6 +411,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_stable_encoding;
           Alcotest.test_case "payload decode/encode round-trip" `Quick
             test_roundtrip;
+          Alcotest.test_case "persisted payloads pinned" `Quick
+            test_persist_pin;
           Alcotest.test_case "hot vs cold: droidbench" `Slow
             test_hot_cold_droidbench;
           Alcotest.test_case "hot vs cold: corpus slice" `Slow
