@@ -1,6 +1,8 @@
 (* Tests for the resilience layer: budgets and cooperative
    cancellation, the degradation ladder, the lenient frontend, crash
-   barriers and the deterministic fault-injection harness. *)
+   barriers and the deterministic fault-injection harness; and the
+   work done up to a propagation-budget stop on two library-chain
+   apps, pinned in [budget.expected]. *)
 
 open Fd_core
 module R = Fd_resilience
@@ -104,6 +106,135 @@ let test_deadline_mid_solve () =
   (* partial findings are a subset of the full run's *)
   Alcotest.(check bool) "partial under-approximates" true
     (List.length r.Infoflow.r_findings <= List.length full.Infoflow.r_findings)
+
+(* ---------------- budget stops, pinned ---------------- *)
+
+(* An app whose activity passes the IMEI through a private library
+   chain [depth] static calls deep: each step stores its argument in a
+   fresh box, reads it back, recurses, and boxes the result again, so
+   every step spawns alias searches and the path edges grow
+   quadratically with depth. *)
+let chain_app ~depth ~sms =
+  let step i =
+    let call =
+      if i = depth - 1 then ""
+      else
+        Printf.sprintf
+          "    t = staticinvoke lib.Chain#step%d(t);\n\
+          \    b.lib.Box#aux = t;\n\
+          \    t = b.lib.Box#aux;\n"
+          (i + 1)
+    in
+    Printf.sprintf
+      "  static method java.lang.String step%d(java.lang.String) {\n\
+      \    local p : java.lang.Object;\n\
+      \    local b : lib.Box;\n\
+      \    local t : java.lang.Object;\n\
+      \    p := @parameter0;\n\
+      \    b = new lib.Box;\n\
+      \    specialinvoke b.lib.Box#<init>();\n\
+      \    b.lib.Box#val = p;\n\
+      \    t = b.lib.Box#val;\n\
+       %s\
+      \    return t;\n\
+      \  }\n"
+      i call
+  in
+  let box =
+    "class lib.Box {\n\
+    \  field val : java.lang.String;\n\
+    \  field aux : java.lang.String;\n\
+    \  method void <init>() {\n\
+    \    this := @this: lib.Box;\n\
+    \    return;\n\
+    \  }\n\
+     }\n"
+  in
+  let chain =
+    "class lib.Chain {\n" ^ String.concat "" (List.init depth step) ^ "}\n"
+  in
+  let sink =
+    if sms then
+      "    sms = staticinvoke android.telephony.SmsManager#getDefault();\n\
+      \    virtualinvoke sms.android.telephony.SmsManager#sendTextMessage(\"+1\", \
+       null, out, null, null) @\"sink-sms\";\n"
+    else "    staticinvoke android.util.Log#i(\"chain\", out) @\"sink-log\";\n"
+  in
+  let main =
+    Printf.sprintf
+      "class chain.Main extends android.app.Activity {\n\
+      \  method void onCreate(android.os.Bundle) {\n\
+      \    local b : java.lang.Object;\n\
+      \    local tm : android.telephony.TelephonyManager;\n\
+      \    local imei : java.lang.Object;\n\
+      \    local out : java.lang.Object;\n\
+      \    local sms : android.telephony.SmsManager;\n\
+      \    this := @this: chain.Main;\n\
+      \    b := @parameter0;\n\
+      \    tm = new android.telephony.TelephonyManager;\n\
+      \    imei = virtualinvoke \
+       tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\";\n\
+      \    out = staticinvoke lib.Chain#step0(imei);\n\
+       %s\
+      \    return;\n\
+      \  }\n\
+       }\n"
+      sink
+  in
+  Apk.make_text
+    (Printf.sprintf "chain-d%d" depth)
+    ~manifest:
+      (Apk.simple_manifest ~package:"chain"
+         [ (FW.Activity, "chain.Main", []) ])
+    ~layouts:[] [ box; chain; main ]
+
+(* For each app and each cap: the outcome, the path edges and dedup
+   hits counted up to the stop, and the findings.  A solver rewrite
+   that counts one propagation more or less around the stop, or keeps
+   working after it, changes a line. *)
+let test_budget_pin () =
+  let apps = [ chain_app ~depth:9 ~sms:true; chain_app ~depth:16 ~sms:false ] in
+  let lines =
+    List.concat_map
+      (fun apk ->
+        let loaded = Apk.load apk in
+        List.map
+          (fun cap ->
+            let config = { Config.default with Config.max_propagations = cap } in
+            let r, delta =
+              Fd_obs.Metrics.with_delta (fun () ->
+                  Infoflow.analyze_loaded ~config loaded)
+            in
+            let counter name =
+              Option.value ~default:0
+                (List.assoc_opt name delta.Fd_obs.Metrics.sn_counters)
+            in
+            let flows =
+              List.map
+                (fun (f : Bidi.finding) ->
+                  Printf.sprintf "%s->%s"
+                    (Option.value ~default:"?" f.Bidi.f_source.Taint.si_tag)
+                    (Fd_callgraph.Icfg.string_of_node f.Bidi.f_sink_node))
+                r.Infoflow.r_findings
+              |> List.sort compare
+            in
+            Printf.sprintf "%s cap=%d %s path_edges=%d dedup_hits=%d flows=[%s]"
+              apk.Apk.apk_name cap
+              (R.Outcome.to_string r.Infoflow.r_stats.Infoflow.st_outcome)
+              (counter "ifds.path_edges")
+              (counter "ifds.worklist_dedup_hits")
+              (String.concat "; " flows))
+          [ 50; 500; 5000 ])
+      apps
+  in
+  let actual = String.concat "\n" lines ^ "\n" in
+  let expected =
+    In_channel.with_open_bin "budget.expected" In_channel.input_all
+  in
+  if not (String.equal expected actual) then
+    Out_channel.with_open_bin "budget.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+  Alcotest.(check string) "budget pin" expected actual
 
 (* ---------------- the degradation ladder ---------------- *)
 
@@ -315,6 +446,8 @@ let () =
           Alcotest.test_case "propagation cap" `Quick test_budget_cap;
           Alcotest.test_case "zero deadline" `Quick test_budget_deadline;
           Alcotest.test_case "cancellation" `Quick test_budget_cancel;
+          Alcotest.test_case "stops pinned on library chains" `Quick
+            test_budget_pin;
         ] );
       ( "chaos",
         [
