@@ -86,14 +86,17 @@ type finding = {
 (* ---------------- interned solver state ----------------
 
    Facts, contexts and program points are interned into dense integer
-   ids at the propagation boundary; the seen-sets are then flat sets
-   of packed id keys ([Fd_util.Flat_set]: one probe, no allocation, no
-   repeated deep structural hashing), and the per-node / per-method
-   views the flow functions consume — statement, successors,
-   predecessors, callees, parameter locals, source/sink
-   classifications — are resolved once and cached against the id.
-   All pools live inside the engine value, so engines on different
-   domains never share mutable state. *)
+   ids at the propagation boundary.  Each interned context carries its
+   own tabulation tables per direction: path edges, end summaries and
+   incoming sets, each guarded by a flat set of packed id pairs
+   ([Fd_util.Flat_set]: one probe, no allocation, no repeated deep
+   structural hashing).  The worklists hold id triples, resolved
+   through the dense id-indexed context and node arrays.  The
+   per-node / per-method views the flow functions consume —
+   statement, successors, predecessors, callees, parameter locals,
+   source/sink classifications — are resolved once and cached against
+   the id.  All pools live inside the engine value, so engines on
+   different domains never share mutable state. *)
 
 let m_dedup_hits = M.counter "ifds.worklist_dedup_hits"
 let g_intern_facts = M.gauge "intern.facts.size"
@@ -174,30 +177,64 @@ and callinfo = {
       (** effects applied on the call-to-return edge *)
 }
 
-type cctx = { cc_id : int; cc_proc : minfo; cc_fact : Taint.fact }
+type cctx = {
+  cc_id : int;
+  cc_proc : minfo;
+  cc_fact : Taint.fact;
+  mutable cc_fw : cstate option;  (** forward tables, from first use *)
+  mutable cc_bw : cstate option;  (** backward tables, from first use *)
+}
 (** an IFDS context [⟨sp, d1⟩], interned: equal contexts are the same
     value and carry the same id *)
 
-type solver = {
-  s_edges : Flat_set.t;  (** path edges, keyed (ctx, node, fact) ids *)
-  s_summaries : (ninfo * Taint.fact) list ref Int_tbl.t;
-      (** (proc entry context id) -> exit facts *)
-  s_sum_seen : Flat_set.t;  (** (ctx, exit node, fact) ids *)
-  s_incoming : (ninfo * cctx) list ref Int_tbl.t;
-      (** (callee entry context id) -> call sites with caller contexts *)
-  s_inc_seen : Flat_set.t;  (** (ctx, call node, caller ctx) ids *)
-  s_work : (cctx * ninfo * Taint.fact) Queue.t;
+(* one direction's tabulation tables for one context; the summary and
+   incoming tables are allocated on their first entry (the backward
+   direction has no incoming sets, and few summaries) *)
+and cstate = {
+  cs_edges : Flat_set.t;  (** path edges: (node, fact) ids *)
+  mutable cs_sums : pairs option;
+      (** end summaries: (exit node, fact) ids *)
+  mutable cs_inc : pairs option;
+      (** incoming set: (call node, caller context) ids *)
 }
 
-let mk_solver () =
-  {
-    s_edges = Flat_set.create ();
-    s_summaries = Int_tbl.create 16;
-    s_sum_seen = Flat_set.create ();
-    s_incoming = Int_tbl.create 16;
-    s_inc_seen = Flat_set.create ();
-    s_work = Queue.create ();
-  }
+(* packed id pairs, newest first, beside the flat set that keeps the
+   list duplicate-free *)
+and pairs = { mutable p_list : int list; p_seen : Flat_set.t }
+
+(* a FIFO ring of (context id, node id, fact id) triples: [len] items
+   from item [head], in a buffer of a power-of-two number of items *)
+type ring = { mutable buf : int array; mutable head : int; mutable len : int }
+
+let ring_push r c n f =
+  let cap = Array.length r.buf / 3 in
+  if r.len = cap then begin
+    (* full: unroll into a buffer twice the size, oldest first *)
+    let buf = Array.make (6 * cap) 0 in
+    let first = 3 * (cap - r.head) in
+    Array.blit r.buf (3 * r.head) buf 0 first;
+    Array.blit r.buf 0 buf first (3 * r.head);
+    r.buf <- buf;
+    r.head <- 0
+  end;
+  let i = 3 * ((r.head + r.len) land ((Array.length r.buf / 3) - 1)) in
+  r.buf.(i) <- c;
+  r.buf.(i + 1) <- n;
+  r.buf.(i + 2) <- f;
+  r.len <- r.len + 1
+
+(* the buffer index of the oldest item, which leaves the ring; its
+   three ints stay readable there until the next push *)
+let ring_pop r =
+  let i = 3 * r.head in
+  r.head <- (r.head + 1) land ((Array.length r.buf / 3) - 1);
+  r.len <- r.len - 1;
+  i
+
+type solver = { s_fw : bool; s_work : ring }
+
+let mk_solver ~fw =
+  { s_fw = fw; s_work = { buf = Array.make 48 0; head = 0; len = 0 } }
 
 (* the per-node view of the forward results, indexed from the results
    log on demand: (node, fact) pairs already listed, and each node's
@@ -223,6 +260,11 @@ type t = {
   mutable n_ninfos : int;
   cctxs : cctx I2_tbl.t;  (** (method id, fact id) -> context *)
   mutable n_cctxs : int;
+  (* id-indexed views of the interned contexts and nodes, for the id
+     triples on the worklists and for witness reconstruction; sized by
+     doubling, entries past [n_cctxs] / [n_ninfos] are filler *)
+  mutable cctx_by_id : cctx array;
+  mutable ninfo_by_id : ninfo array;
   fw : solver;
   bw : solver;
   mutable findings : finding list;
@@ -242,14 +284,12 @@ type t = {
      strong-update precision pass is on *)
   ma_cache : Fd_precision.Must_alias.t Mkey.Tbl.t;
   (* provenance: the edge store ([None] = off), the interned id of the
-     zero fact, the node/fact ids of the worklist item currently being
-     processed (every propagation's predecessor), and an id-indexed
-     node view for witness reconstruction *)
+     zero fact, and the node/fact ids of the worklist item currently
+     being processed (every propagation's predecessor) *)
   prov : Prov.t option;
   zero_fid : int;
   mutable cur_node : int;
   mutable cur_fact : int;
-  ninfos_by_id : ninfo Int_tbl.t;
   (* persistent summary store ([None] = off, the default): the solver
      hooks, the sink reports recorded per context (captured before
      global dedup so a stored context is self-contained), and the
@@ -297,8 +337,10 @@ let create ?budget ?store ?(in_slice = fun _ -> true) ~config ~icfg ~scene
     n_ninfos = 0;
     cctxs = I2_tbl.create 16;
     n_cctxs = 0;
-    fw = mk_solver ();
-    bw = mk_solver ();
+    cctx_by_id = [||];
+    ninfo_by_id = [||];
+    fw = mk_solver ~fw:true;
+    bw = mk_solver ~fw:false;
     findings = [];
     finding_keys = Hashtbl.create 64;
     act_sites = Node_tbl.create 16;
@@ -312,7 +354,6 @@ let create ?budget ?store ?(in_slice = fun _ -> true) ~config ~icfg ~scene
     zero_fid;
     cur_node = -1;
     cur_fact = -1;
-    ninfos_by_id = Int_tbl.create 16;
     store;
     cx_reports = Int_tbl.create 64;
     injected_cxs = Int_tbl.create 64;
@@ -321,6 +362,19 @@ let create ?budget ?store ?(in_slice = fun _ -> true) ~config ~icfg ~scene
 
 let k t = t.cfg.Config.max_access_path
 let prec t = t.cfg.Config.precision
+
+(* [arr] with [x] stored at index [n], the next free one: [arr] itself,
+   or a copy twice the size when it is full, padded with [x] *)
+let dense_add arr n x =
+  if n < Array.length arr then begin
+    arr.(n) <- x;
+    arr
+  end
+  else begin
+    let a = Array.make (max 16 (2 * n)) x in
+    Array.blit arr 0 a 0 n;
+    a
+  end
 
 (* ---------------- program-view resolution ---------------- *)
 
@@ -381,9 +435,9 @@ let ninfo_of t (n : Icfg.node) =
           ni_zero_gen = None;
         }
       in
+      t.ninfo_by_id <- dense_add t.ninfo_by_id t.n_ninfos ni;
       t.n_ninfos <- t.n_ninfos + 1;
       Node_tbl.replace t.ninfos n ni;
-      Int_tbl.replace t.ninfos_by_id ni.ni_id ni;
       ni
 
 let node_at mi idx = Icfg.{ n_method = mi.mi_key; n_idx = idx }
@@ -456,7 +510,11 @@ let cctx t (mi : minfo) fact =
   match I2_tbl.find_opt t.cctxs key with
   | Some c -> c
   | None ->
-      let c = { cc_id = t.n_cctxs; cc_proc = mi; cc_fact = fact } in
+      let c =
+        { cc_id = t.n_cctxs; cc_proc = mi; cc_fact = fact; cc_fw = None;
+          cc_bw = None }
+      in
+      t.cctx_by_id <- dense_add t.cctx_by_id t.n_cctxs c;
       t.n_cctxs <- t.n_cctxs + 1;
       I2_tbl.replace t.cctxs key c;
       c
@@ -485,14 +543,26 @@ let prof_cell (mi : minfo) =
       mi.mi_prof <- Some c;
       c
 
+let state_opt solver cx = if solver.s_fw then cx.cc_fw else cx.cc_bw
+
+(* [cx]'s tables in [solver]'s direction, allocated on first use *)
+let state solver cx =
+  match state_opt solver cx with
+  | Some st -> st
+  | None ->
+      let st = { cs_edges = Flat_set.create (); cs_sums = None; cs_inc = None } in
+      if solver.s_fw then cx.cc_fw <- Some st else cx.cc_bw <- Some st;
+      st
+
 let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
-  let fid, fact = intern_fact t fact in
-  if Flat_set.mem solver.s_edges cx.cc_id ni.ni_id fid 0 then
-    M.incr m_dedup_hits
+  let fid = Fact_pool.id t.facts fact in
+  let edges = (state solver cx).cs_edges in
+  let slot = Flat_set.probe edges ni.ni_id fid in
+  if slot < 0 then M.incr m_dedup_hits
   else if Fd_resilience.Budget.tick t.budget then begin
     M.incr m_path_edges;
     M.incr m_worklist_pushes;
-    if solver == t.fw then begin
+    if solver.s_fw then begin
       M.incr m_fw_props;
       record_result t ni fid fact
     end
@@ -513,8 +583,8 @@ let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
           ~pred_fact:t.cur_fact ~kind
     | None -> ());
     if t.cfg.Config.profile then Fd_obs.Profile.add_fact (prof_cell ni.ni_minfo);
-    ignore (Flat_set.add solver.s_edges cx.cc_id ni.ni_id fid 0);
-    Queue.add (cx, ni, fact) solver.s_work
+    Flat_set.add_at edges slot ni.ni_id fid;
+    ring_push solver.s_work cx.cc_id ni.ni_id fid
   end
 
 let propagate_fw ?kind t cx ni fact = propagate ?kind t t.fw cx ni fact
@@ -528,41 +598,74 @@ let int_cell tbl id =
       Int_tbl.replace tbl id c;
       c
 
+let new_pairs () = { p_list = []; p_seen = Flat_set.create () }
+
+(* whether [(a, b)] is new to [ps], and then listed *)
+let pairs_add ps a b =
+  if Flat_set.add ps.p_seen a b then begin
+    ps.p_list <- Flat_set.pack a b :: ps.p_list;
+    true
+  end
+  else false
+
 let add_incoming solver cx_callee ((ni : ninfo), (caller_cx : cctx)) =
-  if Flat_set.add solver.s_inc_seen cx_callee.cc_id ni.ni_id caller_cx.cc_id 0
-  then begin
+  let st = state solver cx_callee in
+  let inc =
+    match st.cs_inc with
+    | Some ps -> ps
+    | None ->
+        let ps = new_pairs () in
+        st.cs_inc <- Some ps;
+        ps
+  in
+  if pairs_add inc ni.ni_id caller_cx.cc_id then
     Flight.record (fun () ->
         Printf.sprintf "call-edge %s -> %s"
           (Icfg.string_of_node ni.ni_node)
-          (Mkey.to_string cx_callee.cc_proc.mi_key));
-    let cell = int_cell solver.s_incoming cx_callee.cc_id in
-    cell := (ni, caller_cx) :: !cell
-  end
+          (Mkey.to_string cx_callee.cc_proc.mi_key))
 
-let incoming_of solver cx_callee =
-  match Int_tbl.find_opt solver.s_incoming cx_callee.cc_id with
-  | Some c -> !c
-  | None -> []
+(* [f c caller_cx] on each incoming call site [c] of [cx_callee] with
+   its caller context, newest first *)
+let iter_incoming t solver cx_callee f =
+  match state_opt solver cx_callee with
+  | Some { cs_inc = Some ps; _ } ->
+      List.iter
+        (fun k ->
+          f t.ninfo_by_id.(Flat_set.fst k) t.cctx_by_id.(Flat_set.snd k))
+        ps.p_list
+  | _ -> ()
 
 let add_summary t solver cx_callee ((ni : ninfo), fact) =
-  let fid, fact = intern_fact t fact in
-  if not (Flat_set.add solver.s_sum_seen cx_callee.cc_id ni.ni_id fid 0) then
-    false
-  else begin
+  let fid = Fact_pool.id t.facts fact in
+  let st = state solver cx_callee in
+  let sums =
+    match st.cs_sums with
+    | Some ps -> ps
+    | None ->
+        let ps = new_pairs () in
+        st.cs_sums <- Some ps;
+        ps
+  in
+  if pairs_add sums ni.ni_id fid then begin
     Flight.record (fun () ->
         Printf.sprintf "return-edge %s %s"
           (Icfg.string_of_node ni.ni_node)
           (Taint.fact_to_string fact));
-    let cell = int_cell solver.s_summaries cx_callee.cc_id in
-    cell := (ni, fact) :: !cell;
     M.incr m_summaries;
     true
   end
+  else false
 
-let summaries_of solver cx_callee =
-  match Int_tbl.find_opt solver.s_summaries cx_callee.cc_id with
-  | Some c -> !c
-  | None -> []
+(* [f e d] on each end summary [(e, d)] of [cx_callee], newest first *)
+let iter_summaries t solver cx_callee f =
+  match state_opt solver cx_callee with
+  | Some { cs_sums = Some ps; _ } ->
+      List.iter
+        (fun k ->
+          f t.ninfo_by_id.(Flat_set.fst k)
+            (Fact_pool.value t.facts (Flat_set.snd k)))
+        ps.p_list
+  | _ -> ()
 
 (* ---------------- findings ---------------- *)
 
@@ -584,16 +687,16 @@ let witness_of_current t =
       in
       List.filter_map
         (fun (nid, fid, kind) ->
-          match Int_tbl.find_opt t.ninfos_by_id nid with
-          | None -> None
-          | Some ni ->
-              Some
-                {
-                  ws_node = ni.ni_node;
-                  ws_stmt = Stmt.to_string ni.ni_stmt;
-                  ws_fact = Taint.fact_to_string (Fact_pool.value t.facts fid);
-                  ws_kind = Prov.string_of_kind kind;
-                })
+          if nid < 0 || nid >= t.n_ninfos then None
+          else
+            let ni = t.ninfo_by_id.(nid) in
+            Some
+              {
+                ws_node = ni.ni_node;
+                ws_stmt = Stmt.to_string ni.ni_stmt;
+                ws_fact = Taint.fact_to_string (Fact_pool.value t.facts fid);
+                ws_kind = Prov.string_of_kind kind;
+              })
         (trim chain)
 
 let report t ~cx ?taint ~(source : Taint.source_info) ~sink_node ~sink_tag
@@ -1306,8 +1409,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
           add_incoming t.fw cx_callee (ni, cx);
           if not (inject_stored_summaries t cx_callee) then
             propagate_fw ~kind:Prov.Call t cx_callee s_callee d3;
-          List.iter
-            (fun (e, d4) ->
+          iter_summaries t t.fw cx_callee (fun e d4 ->
               M.incr m_summary_apps;
               let rets =
                 return_flow t ~call:ni ~callee ~exit_ni:e call_inv d4
@@ -1322,8 +1424,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
                       | _ -> ());
                       propagate_fw ~kind:Prov.Return t cx r d5)
                     rets)
-                node_succs)
-            (summaries_of t.fw cx_callee))
+                node_succs))
         entry_facts
     end
   in
@@ -1393,8 +1494,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
 
 let process_exit_fw t cx (ni : ninfo) (fact : Taint.fact) =
   if add_summary t t.fw cx (ni, fact) then begin
-    List.iter
-      (fun ((c : ninfo), caller_cx) ->
+    iter_incoming t t.fw cx (fun c caller_cx ->
         match c.ni_invoke with
         | None -> ()
         | Some inv ->
@@ -1412,8 +1512,7 @@ let process_exit_fw t cx (ni : ninfo) (fact : Taint.fact) =
                     | _ -> ());
                     propagate_fw ~kind:Prov.Return t caller_cx r d5)
                   rets)
-              (succs t c))
-      (incoming_of t.fw cx);
+              (succs t c));
     (* <clinit> exits reached through first-use edges (precision pass)
        have no syntactic call site: relay static-rooted facts,
        context-insensitively, to the successors of every first-use
@@ -1650,23 +1749,34 @@ let process_bw t cx (ni : ninfo) (fact : Taint.fact) =
 
 (** [run t ~entries] seeds the zero fact at each entry method and runs
     both solvers to exhaustion (or to the propagation budget). *)
-(* live byte sizes for the gauges: the allocated words of the flat
-   seen-sets and the results log; estimates for the association lists
-   (~6 words a cell) and the interned facts (~16 words each) *)
+(* live byte sizes for the gauges, summed over the contexts' tables:
+   the allocated words of the flat sets, the worklist ring and the
+   results log; estimates for the records around them (~11 words a
+   context's tables, ~9 a pair table), the pair lists (3 words a cell)
+   and the interned facts (~16 words each) *)
 let bytes_of_words w = w * (Sys.word_size / 8)
 
-let solver_words s =
-  let lists tbl =
-    Int_tbl.fold (fun _ cell acc -> acc + 2 + (6 * List.length !cell)) tbl 0
+let solver_words t solver =
+  let pairs_words = function
+    | Some ps -> 9 + Flat_set.words ps.p_seen + (3 * List.length ps.p_list)
+    | None -> 0
   in
-  Flat_set.words s.s_edges + Flat_set.words s.s_sum_seen
-  + Flat_set.words s.s_inc_seen + lists s.s_summaries + lists s.s_incoming
+  let w = ref (Array.length solver.s_work.buf) in
+  for i = 0 to t.n_cctxs - 1 do
+    match state_opt solver t.cctx_by_id.(i) with
+    | None -> ()
+    | Some st ->
+        w :=
+          !w + 11 + Flat_set.words st.cs_edges + pairs_words st.cs_sums
+          + pairs_words st.cs_inc
+  done;
+  !w
 
 let publish_memory_gauges t =
   (* the forward tables include the results log they feed *)
   M.set_int g_bytes_fw
-    (bytes_of_words (solver_words t.fw + Array.length t.results_log));
-  M.set_int g_bytes_bw (bytes_of_words (solver_words t.bw));
+    (bytes_of_words (solver_words t t.fw + Array.length t.results_log));
+  M.set_int g_bytes_bw (bytes_of_words (solver_words t t.bw));
   M.set_int g_bytes_facts (bytes_of_words (Fact_pool.size t.facts * 16));
   M.set_int g_bytes_prov
     (match t.prov with Some p -> Prov.approx_bytes p | None -> 0)
@@ -1685,11 +1795,9 @@ let persist_summaries t (h : Summary.hooks) =
   let children : cctx list ref Int_tbl.t = Int_tbl.create 256 in
   I2_tbl.iter
     (fun _ cx_callee ->
-      List.iter
-        (fun ((_ : ninfo), (caller_cx : cctx)) ->
+      iter_incoming t t.fw cx_callee (fun _ caller_cx ->
           let cell = int_cell children caller_cx.cc_id in
-          cell := cx_callee :: !cell)
-        (incoming_of t.fw cx_callee))
+          cell := cx_callee :: !cell))
     t.cctxs;
   let reports_in_subtree cx =
     let seen_cx = Int_tbl.create 16 in
@@ -1727,13 +1835,13 @@ let persist_summaries t (h : Summary.hooks) =
         && Summary.eligible_entry cx.cc_fact
         && h.Summary.h_eligible cx.cc_proc.mi_key
       then begin
+        let sums = ref [] in
+        iter_summaries t t.fw cx (fun ni f ->
+            sums := (ni.ni_node.Icfg.n_idx, f) :: !sums);
         let pc =
           {
             Summary.pc_entry = cx.cc_fact;
-            pc_summaries =
-              List.map
-                (fun ((ni : ninfo), f) -> (ni.ni_node.Icfg.n_idx, f))
-                (summaries_of t.fw cx);
+            pc_summaries = List.rev !sums;
             pc_reports = reports_in_subtree cx;
           }
         in
@@ -1765,17 +1873,22 @@ let run t ~entries =
   let profiling = t.cfg.Config.profile in
   let track = t.prov <> None in
   let pop_item solver process =
-    let cx, ni, fact = Queue.pop solver.s_work in
+    let r = solver.s_work in
+    let i = ring_pop r in
+    let cx = t.cctx_by_id.(r.buf.(i))
+    and ni = t.ninfo_by_id.(r.buf.(i + 1))
+    and fid = r.buf.(i + 2) in
+    let fact = Fact_pool.value t.facts fid in
     M.incr m_worklist_pops;
     (* remember the popped pair: every propagation performed while
        processing it records this pair as its provenance predecessor *)
     if track then begin
       t.cur_node <- ni.ni_id;
-      t.cur_fact <- fst (intern_fact t fact)
+      t.cur_fact <- fid
     end;
     Flight.record (fun () ->
         Printf.sprintf "%s %s %s"
-          (if solver == t.fw then "fw.pop" else "bw.pop")
+          (if solver.s_fw then "fw.pop" else "bw.pop")
           (Icfg.string_of_node ni.ni_node)
           (Taint.fact_to_string fact));
     if profiling then begin
@@ -1791,11 +1904,11 @@ let run t ~entries =
        cancellation) the remaining worklist is abandoned — results so
        far stay valid as a partial under-approximation *)
     if Fd_resilience.Budget.stopped t.budget then ()
-    else if not (Queue.is_empty t.fw.s_work) then begin
+    else if t.fw.s_work.len > 0 then begin
       pop_item t.fw process_fw;
       loop ()
     end
-    else if not (Queue.is_empty t.bw.s_work) then begin
+    else if t.bw.s_work.len > 0 then begin
       pop_item t.bw process_bw;
       loop ()
     end
@@ -1838,7 +1951,7 @@ let results_index t =
   for i = ri.ri_upto to t.results_len - 1 do
     let e = t.results_log.(i) in
     let nid = Flat_set.fst e and fid = Flat_set.snd e in
-    if Flat_set.add ri.ri_seen nid fid 0 0 then
+    if Flat_set.add ri.ri_seen nid fid then
       match Fact_pool.value t.facts fid with
       | Taint.T taint ->
           let l = Option.value (Int_tbl.find_opt ri.ri_taints nid) ~default:[] in

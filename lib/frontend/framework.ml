@@ -209,15 +209,15 @@ let install scene =
     (see {!Scene}). *)
 let fresh_scene =
   let template =
-    lazy
-      (let sc = Scene.create () in
-       install sc;
-       List.iter
-         (fun (c : Jclass.t) -> ignore (Scene.supertypes sc c.Jclass.c_name))
-         (Scene.all_classes sc);
-       sc)
+    Fd_util.Once.make (fun () ->
+        let sc = Scene.create () in
+        install sc;
+        List.iter
+          (fun (c : Jclass.t) -> ignore (Scene.supertypes sc c.Jclass.c_name))
+          (Scene.all_classes sc);
+        sc)
   in
-  fun () -> Scene.copy (Lazy.force template)
+  fun () -> Scene.copy (Fd_util.Once.force template)
 
 (** [warm ()] forces the framework-skeleton template eagerly, so a
     long-lived process (the serve daemon) pays the one-time install

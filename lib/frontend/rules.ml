@@ -238,11 +238,11 @@ java.lang.String getChars : arg2<-recv
     is shared: rule sets are read-only after construction, and the
     defaults are requested once per analysed app. *)
 let default_wrappers =
-  let memo = lazy (of_string default_wrapper_config) in
-  fun () -> Lazy.force memo
+  let memo = Fd_util.Once.make (fun () -> of_string default_wrapper_config) in
+  fun () -> Fd_util.Once.force memo
 
 (** [default_natives ()] parses {!default_native_config} (shared, see
     {!default_wrappers}). *)
 let default_natives =
-  let memo = lazy (of_string default_native_config) in
-  fun () -> Lazy.force memo
+  let memo = Fd_util.Once.make (fun () -> of_string default_native_config) in
+  fun () -> Fd_util.Once.force memo

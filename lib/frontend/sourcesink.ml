@@ -300,5 +300,5 @@ let default_config =
     shared: definitions are read-only after construction and requested
     once per analysed app. *)
 let default =
-  let memo = lazy (of_string default_config) in
-  fun () -> Lazy.force memo
+  let memo = Fd_util.Once.make (fun () -> of_string default_config) in
+  fun () -> Fd_util.Once.force memo

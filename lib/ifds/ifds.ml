@@ -19,8 +19,11 @@
 
     Internally every proc, node and fact is hash-consed into a
     per-solver {!Fd_util.Intern} pool, so the tabulation tables are
-    keyed by small integer tuples instead of deep structural values:
-    one structural hash per distinct value, integer mixing afterwards.
+    keyed by small integer ids instead of deep structural values: one
+    structural hash per distinct value, integer mixing afterwards.
+    Each table is a cell per id pair (a context, or a call site and
+    its fact) holding a list and the {!Fd_util.Flat_set} of the rest
+    of its entries' keys that guards it.
     Pools are per-solver instance, so independent solves (including
     solves running on different domains) share nothing.
 
@@ -128,19 +131,34 @@ module Make (P : PROBLEM) = struct
   module Int_tbl = Hashtbl.Make (Int)
   module Flat_set = Fd_util.Flat_set
 
-  (* a worklist item: both pairs carry the canonical (pooled)
+  (* a context ⟨sp, d1⟩ with its path edges: the (n, d2) id pairs
+     reached under it.  Contexts and items carry the canonical (pooled)
      representatives alongside their ids, so downstream flow functions
-     hit the pools' [==] fast paths *)
+     hit the pools' [==] fast paths. *)
+  type ctx = {
+    c_sp : P.node;
+    c_sp_id : int;
+    c_d1 : P.fact;
+    c_d1_id : int;
+    c_edges : Flat_set.t;
+  }
+
+  (* a worklist item: the path edge ⟨sp, d1⟩ → ⟨n, d2⟩ *)
   type item = {
-    it_sp : P.node;
-    it_d1 : P.fact;
-    it_sp_id : int;
-    it_d1_id : int;
+    it_ctx : ctx;
     it_n : P.node;
     it_d2 : P.fact;
     it_n_id : int;
     it_d2_id : int;
   }
+
+  (* the entries recorded for one id pair, newest first, and the set of
+     the rest of their keys that keeps the list duplicate-free *)
+  type 'a cell = { mutable entries : 'a list; seen : Flat_set.t }
+
+  (* a node and a fact with their ids: an exit with the fact leaving
+     it, or a call with the caller's fact *)
+  type site = P.node * int * P.fact * int
 
   (** external summary provider — the persistent-store integration
       point of the generic solver: [sh_lookup callee entry] returns the
@@ -158,29 +176,24 @@ module Make (P : PROBLEM) = struct
     nodes : Node_pool.pool;
     procs : Proc_pool.pool;
     facts : Fact_pool.pool;
-    (* all discovered path edges, as id quadruples
-       (sp, d1, n, d2) — membership is the only query the tabulation
-       needs, so a flat set replaces the old two-level grouping *)
-    path_edges : Flat_set.t;
+    (* the maps below are keyed on id pairs packed into one int
+       ([Flat_set.pack]) *)
+    (* contexts: (sp, d1) ids -> the context and its path edges *)
+    ctxs : ctx Int_tbl.t;
     (* facts per node (the final analysis result): node id -> facts,
        with a flat (node, fact) seen set for dedup *)
     results_facts : P.fact list ref Int_tbl.t;
     results_seen : Flat_set.t;
-    (* the maps below are keyed on id pairs packed into one int
-       ([Flat_set.pack]) *)
-    (* end summaries: (callee, entry fact) ids -> exit pairs *)
-    end_summaries : (P.node * int * P.fact * int) list ref Int_tbl.t;
-    sum_seen : Flat_set.t;
+    (* end summaries: (callee, entry fact) ids -> (exit, fact) pairs *)
+    end_summaries : site cell Int_tbl.t;
     (* incoming: (callee, entry fact) ids -> caller-side (call, fact)
        pairs that entered that context *)
-    incoming : (P.node * int * P.fact * int) list ref Int_tbl.t;
-    inc_seen : Flat_set.t;
+    incoming : site cell Int_tbl.t;
     (* caller contexts per call-site pair: (call, fact) ids -> the
        (sp, d1) contexts whose path edges reached the call with that
        fact.  Indexed, where the previous representation required a
        full-table scan per discovered summary. *)
-    incoming_ctx : (P.node * int * P.fact * int) list ref Int_tbl.t;
-    ctx_seen : Flat_set.t;
+    incoming_ctx : ctx cell Int_tbl.t;
     worklist : item Queue.t;
     budget : Fd_resilience.Budget.t;
     (* external summaries: the hooks and the (callee, entry fact)
@@ -199,15 +212,12 @@ module Make (P : PROBLEM) = struct
       nodes = Node_pool.create ~size:512 ();
       procs = Proc_pool.create ~size:64 ();
       facts = Fact_pool.create ~size:512 ();
-      path_edges = Flat_set.create ();
+      ctxs = Int_tbl.create 64;
       results_facts = Int_tbl.create 256;
       results_seen = Flat_set.create ();
       end_summaries = Int_tbl.create 64;
-      sum_seen = Flat_set.create ();
       incoming = Int_tbl.create 64;
-      inc_seen = Flat_set.create ();
       incoming_ctx = Int_tbl.create 256;
-      ctx_seen = Flat_set.create ();
       worklist = Queue.create ();
       budget;
       hooks;
@@ -223,75 +233,87 @@ module Make (P : PROBLEM) = struct
         Int_tbl.replace tbl key c;
         c
 
-  let pair_cells tbl (a, b) =
+  let cell_entries tbl (a, b) =
     match Int_tbl.find_opt tbl (Flat_set.pack a b) with
-    | Some c -> !c
+    | Some c -> c.entries
     | None -> []
 
+  (* add [x] to the cell of the id pair [(p, q)], unless the cell
+     already holds an entry whose key continues with [(a, b)]; true iff
+     added *)
+  let add_entry tbl (p, q) (a, b) x =
+    let key = Flat_set.pack p q in
+    let c =
+      match Int_tbl.find_opt tbl key with
+      | Some c -> c
+      | None ->
+          let c = { entries = []; seen = Flat_set.create () } in
+          Int_tbl.replace tbl key c;
+          c
+    in
+    if Flat_set.add c.seen a b then begin
+      c.entries <- x :: c.entries;
+      true
+    end
+    else false
+
+  (* the context ⟨sp, d1⟩, created on first use *)
+  let ctx t ~sp ~sp_id ~d1 ~d1_id =
+    let key = Flat_set.pack sp_id d1_id in
+    match Int_tbl.find_opt t.ctxs key with
+    | Some c -> c
+    | None ->
+        let c =
+          { c_sp = sp; c_sp_id = sp_id; c_d1 = d1; c_d1_id = d1_id;
+            c_edges = Flat_set.create () }
+        in
+        Int_tbl.replace t.ctxs key c;
+        c
+
   let record_result t n_id d d_id =
-    if Flat_set.add t.results_seen n_id d_id 0 0 then begin
+    if Flat_set.add t.results_seen n_id d_id then begin
       let c = int_cell t.results_facts n_id in
       c := d :: !c
     end
 
   (* propagate: add the path edge if new and enqueue; a duplicate is a
      saved worklist push (counted) *)
-  let propagate t ~sp ~sp_id ~d1 ~d1_id n d2 =
+  let propagate t cx n d2 =
     let n_id = Node_pool.id t.nodes n in
     let n = Node_pool.value t.nodes n_id in
     let d2_id = Fact_pool.id t.facts d2 in
     let d2 = Fact_pool.value t.facts d2_id in
-    if Flat_set.mem t.path_edges sp_id d1_id n_id d2_id then
-      M.incr m_dedup_hits
+    let slot = Flat_set.probe cx.c_edges n_id d2_id in
+    if slot < 0 then M.incr m_dedup_hits
     else if Fd_resilience.Budget.tick t.budget then begin
-      ignore (Flat_set.add t.path_edges sp_id d1_id n_id d2_id);
+      Flat_set.add_at cx.c_edges slot n_id d2_id;
       M.incr m_path_edges;
       M.incr m_worklist_pushes;
       record_result t n_id d2 d2_id;
       Queue.add
-        {
-          it_sp = sp;
-          it_d1 = d1;
-          it_sp_id = sp_id;
-          it_d1_id = d1_id;
-          it_n = n;
-          it_d2 = d2;
-          it_n_id = n_id;
-          it_d2_id = d2_id;
-        }
+        { it_ctx = cx; it_n = n; it_d2 = d2; it_n_id = n_id; it_d2_id = d2_id }
         t.worklist
     end
 
-  let add_incoming t (cp, cf) (n, n_id, d, d_id) =
-    if Flat_set.add t.inc_seen cp cf n_id d_id then begin
-      let c = int_cell t.incoming (Flat_set.pack cp cf) in
-      c := (n, n_id, d, d_id) :: !c
-    end
+  let add_incoming t callee_key ((_, n_id, _, d_id) as call) =
+    ignore (add_entry t.incoming callee_key (n_id, d_id) call)
 
-  let add_ctx t (cn, cf) (sp, sp_id, d1, d1_id) =
-    if Flat_set.add t.ctx_seen cn cf sp_id d1_id then begin
-      let c = int_cell t.incoming_ctx (Flat_set.pack cn cf) in
-      c := (sp, sp_id, d1, d1_id) :: !c
-    end
+  let add_ctx t call_key cx =
+    ignore (add_entry t.incoming_ctx call_key (cx.c_sp_id, cx.c_d1_id) cx)
 
-  let add_summary t (cp, cf) (e, e_id, d, d_id) =
-    if not (Flat_set.add t.sum_seen cp cf e_id d_id) then false
-    else begin
-      let c = int_cell t.end_summaries (Flat_set.pack cp cf) in
-      c := (e, e_id, d, d_id) :: !c;
+  let add_summary t callee_key ((_, e_id, _, d_id) as exit) =
+    if add_entry t.end_summaries callee_key (e_id, d_id) exit then begin
       M.incr m_summaries;
       true
     end
+    else false
 
-  let injected t (cp, cf) = Flat_set.mem t.injected cp cf 0 0
+  let injected t (cp, cf) = Flat_set.mem t.injected cp cf
 
   let process t (it : item) =
-    let sp = it.it_sp
-    and sp_id = it.it_sp_id
-    and d1 = it.it_d1
-    and d1_id = it.it_d1_id in
+    let cx = it.it_ctx in
     let n = it.it_n and d2 = it.it_d2 in
-    let propagate_src = propagate t ~sp ~sp_id ~d1 ~d1_id in
+    let propagate_src = propagate t cx in
     let callees =
       match t.in_slice with
       | None -> P.callees n
@@ -312,7 +334,7 @@ module Make (P : PROBLEM) = struct
               let callee_key = (callee_id, d3_id) in
               (* remember the caller context for later summaries *)
               add_incoming t callee_key (n, it.it_n_id, d2, it.it_d2_id);
-              add_ctx t (it.it_n_id, it.it_d2_id) (sp, sp_id, d1, d1_id);
+              add_ctx t (it.it_n_id, it.it_d2_id) cx;
               (* seed the callee — unless an external provider already
                  knows this context's end summaries, which are then
                  installed in place of the descent *)
@@ -325,7 +347,7 @@ module Make (P : PROBLEM) = struct
                       match h.sh_lookup callee d3 with
                       | None -> false
                       | Some sums ->
-                          ignore (Flat_set.add t.injected callee_id d3_id 0 0);
+                          ignore (Flat_set.add t.injected callee_id d3_id);
                           List.iter
                             (fun (e, d4) ->
                               let e_id = Node_pool.id t.nodes e in
@@ -340,7 +362,8 @@ module Make (P : PROBLEM) = struct
               if not injected then begin
                 let sc_id = Node_pool.id t.nodes s_callee in
                 let s_callee = Node_pool.value t.nodes sc_id in
-                propagate t ~sp:s_callee ~sp_id:sc_id ~d1:d3 ~d1_id:d3_id
+                propagate t
+                  (ctx t ~sp:s_callee ~sp_id:sc_id ~d1:d3 ~d1_id:d3_id)
                   s_callee d3
               end;
               (* apply already-known summaries *)
@@ -355,7 +378,7 @@ module Make (P : PROBLEM) = struct
                         (P.return_flow ~call:n ~callee ~exit:e ~return_site:r
                            d4))
                     (P.succs n))
-                (pair_cells t.end_summaries callee_key))
+                (cell_entries t.end_summaries callee_key))
             entry_facts)
         callees;
       (* call-to-return edge *)
@@ -370,30 +393,25 @@ module Make (P : PROBLEM) = struct
          into every caller context recorded in the incoming set *)
       let callee = P.proc_of n in
       let callee_id = Proc_pool.id t.procs callee in
-      let callee_key = (callee_id, d1_id) in
+      let callee_key = (callee_id, cx.c_d1_id) in
       if add_summary t callee_key (n, it.it_n_id, d2, it.it_d2_id) then begin
         (match t.hooks with
         | Some h when not (injected t callee_key) ->
-            h.sh_persist callee d1 ~exit:n d2
+            h.sh_persist callee cx.c_d1 ~exit:n d2
         | _ -> ());
         List.iter
           (fun (c, c_id, _dc, dc_id) ->
             M.incr m_flow_return;
             (* the caller contexts that passed (c, dc) into this
                callee, via the index (no table scan) *)
-            let ctxs = pair_cells t.incoming_ctx (c_id, dc_id) in
+            let ctxs = cell_entries t.incoming_ctx (c_id, dc_id) in
             List.iter
               (fun r ->
                 List.iter
-                  (fun d5 ->
-                    List.iter
-                      (fun (spc, spc_id, d1c, d1c_id) ->
-                        propagate t ~sp:spc ~sp_id:spc_id ~d1:d1c
-                          ~d1_id:d1c_id r d5)
-                      ctxs)
+                  (fun d5 -> List.iter (fun cxc -> propagate t cxc r d5) ctxs)
                   (P.return_flow ~call:c ~callee ~exit:n ~return_site:r d2))
               (P.succs c))
-          (pair_cells t.incoming callee_key)
+          (cell_entries t.incoming callee_key)
       end
     end
     else begin
@@ -407,16 +425,22 @@ module Make (P : PROBLEM) = struct
     end
 
   (* live byte size for the gauge: the flat seen-sets' allocated words,
-     plus an estimate for the association lists (~8 words a cell) *)
+     plus estimates for the association lists (~8 words a cell) and the
+     per-pair records *)
   let table_bytes t =
     let lists tbl =
       Int_tbl.fold (fun _ cell acc -> acc + 3 + (8 * List.length !cell)) tbl 0
     in
-    (Flat_set.words t.path_edges + Flat_set.words t.sum_seen
-    + Flat_set.words t.inc_seen + Flat_set.words t.ctx_seen
+    let cells tbl =
+      Int_tbl.fold
+        (fun _ c acc ->
+          acc + 6 + Flat_set.words c.seen + (8 * List.length c.entries))
+        tbl 0
+    in
+    (Int_tbl.fold (fun _ c acc -> acc + 9 + Flat_set.words c.c_edges) t.ctxs 0
     + Flat_set.words t.results_seen + Flat_set.words t.injected
-    + lists t.results_facts + lists t.end_summaries + lists t.incoming
-    + lists t.incoming_ctx)
+    + lists t.results_facts + cells t.end_summaries + cells t.incoming
+    + cells t.incoming_ctx)
     * (Sys.word_size / 8)
 
   (** [solve ?budget ?proc_name ~seeds ()] runs the tabulation to a
@@ -440,9 +464,9 @@ module Make (P : PROBLEM) = struct
         let z = Fact_pool.value t.facts z_id in
         (* context: the zero fact at the procedure start; seeds are
            unconditional *)
-        propagate t ~sp ~sp_id ~d1:z ~d1_id:z_id n d;
-        if not (P.fact_equal d P.zero) then
-          propagate t ~sp ~sp_id ~d1:z ~d1_id:z_id n P.zero)
+        let cx = ctx t ~sp ~sp_id ~d1:z ~d1_id:z_id in
+        propagate t cx n d;
+        if not (P.fact_equal d P.zero) then propagate t cx n P.zero)
       seeds;
     (* profiler cells per interned procedure id, resolved lazily *)
     let prof_cells = Int_tbl.create 64 in
@@ -495,5 +519,6 @@ module Make (P : PROBLEM) = struct
 
   (** [edge_count t] is the number of discovered path edges (a size
       metric for benchmarks). *)
-  let edge_count t = Flat_set.length t.path_edges
+  let edge_count t =
+    Int_tbl.fold (fun _ c acc -> acc + Flat_set.length c.c_edges) t.ctxs 0
 end

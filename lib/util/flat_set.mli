@@ -1,16 +1,19 @@
-(** Open-addressing sets of integer-id quadruples: the seen-sets of
-    the IFDS solvers (path edges, end summaries, incoming sets).
+(** Open-addressing sets of integer-id pairs: the seen-sets of the
+    IFDS solvers (path edges, end summaries, incoming sets).
 
-    Every key is four ids, each in [[0, max_id]].  The set packs them
-    two per int ([pack]) and stores each key as two ints side by side
-    in one flat array, so a lookup or an insertion is one linear probe
-    over unboxed ints: no tuple, no bucket cell, no allocation outside
-    resizes.  Tables start at 16 slots (32 words, small enough for the
-    minor heap) and double before their load would exceed 3/4.
+    Every key is two ids, each in [[0, max_id]].  The set packs a key
+    into one int ([pack]) and stores it in one slot of a flat int
+    array, so a lookup or an insertion is one linear probe over
+    unboxed ints: no tuple, no bucket cell, no allocation outside
+    resizes.  Sets start at 8 slots (9 words with the header, small
+    enough for the minor heap) and double before their load would
+    exceed 3/4.
 
-    A solver with fewer than four ids per key passes [0] for the
-    unused positions.  Packing needs 63-bit native ints (a 64-bit
-    platform).  Sets are not thread-safe; each solver owns its own. *)
+    The solvers keep one set per context and table, so a key is the
+    rest of the tabulation key: (node, fact) for path edges and
+    summaries, (call node, caller context) for incoming sets.  Packing
+    needs 63-bit native ints (a 64-bit platform).  Sets are not
+    thread-safe; each solver owns its own. *)
 
 type t
 
@@ -29,19 +32,31 @@ val snd : int -> int
 (** [snd (pack a b) = b] *)
 
 val create : unit -> t
-(** an empty set of 16 slots *)
+(** an empty set of 8 slots *)
 
-val add : t -> int -> int -> int -> int -> bool
-(** [add s a b c d] inserts the key [(a, b, c, d)] and is [true] iff
-    it was not yet present.
+val add : t -> int -> int -> bool
+(** [add s a b] inserts the key [(a, b)] and is [true] iff it was not
+    yet present.
     @raise Invalid_argument when an id lies outside [[0, max_id]]. *)
 
-val mem : t -> int -> int -> int -> int -> bool
-(** [mem s a b c d] is whether [(a, b, c, d)] was added.
+val mem : t -> int -> int -> bool
+(** [mem s a b] is whether [(a, b)] was added.
     @raise Invalid_argument when an id lies outside [[0, max_id]]. *)
+
+val probe : t -> int -> int -> int
+(** [probe s a b] is [-1] when [(a, b)] is present, and otherwise the
+    free slot where {!add_at} places it: the first half of an
+    insertion that the caller may still decline, for one probe where
+    [mem] then [add] would take two.
+    @raise Invalid_argument when an id lies outside [[0, max_id]]. *)
+
+val add_at : t -> int -> int -> int -> unit
+(** [add_at s i a b] inserts the absent key [(a, b)], where [i] is
+    what [probe s a b] returned with no insertion into [s] since.
+    @raise Invalid_argument when slot [i] is not free. *)
 
 val length : t -> int
 (** the number of keys *)
 
 val words : t -> int
-(** the words the slot array occupies (two per slot, empty or not) *)
+(** the words the slot array occupies (one per slot, empty or not) *)

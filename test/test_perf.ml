@@ -7,14 +7,15 @@
      regression the fold-based hashes exist for — sensitive to
      differences arbitrarily deep in an access path, where the
      polymorphic hash's depth cutoff made deep paths collide;
-   - the solvers' flat seen-sets: add/mem agree with a [Hashtbl]
-     model across resizes, extreme ids round-trip, out-of-range ids
-     are refused;
+   - the solvers' flat pair sets: add/mem/probe agree with a
+     [Hashtbl] model across resizes, extreme ids round-trip,
+     out-of-range ids are refused;
    - the domain pool: [Pool.map] preserves order and determinism at
      any job count;
    - the app-level parallelism contract: the DroidBench and
      SecuriBench tables render bit-identically at --jobs 1 and
-     --jobs 4;
+     --jobs 4, and a fresh process whose two domains force the shared
+     templates at once survives;
    - the work pin: verdicts and work counters of a fixed generated
      corpus, recorded in [work.expected], and a second analysis of
      each loaded app repeats the first exactly. *)
@@ -123,44 +124,53 @@ let test_deep_hash_no_truncation () =
 let gen_id =
   QCheck.Gen.(
     frequency
-      [ (8, int_bound 6); (1, return 0); (1, return Flat_set.max_id);
+      [ (8, int_bound 12); (1, return 0); (1, return Flat_set.max_id);
         (1, int_bound Flat_set.max_id) ])
+
+(* an add, a mem, or a probe followed by [add_at] on a free slot *)
+type op = Add | Mem | Probe_add
 
 let gen_op =
   QCheck.Gen.(
-    let* is_add = frequency [ (3, return true); (1, return false) ] in
-    let* a = gen_id and* b = gen_id and* c = gen_id and* d = gen_id in
-    return (is_add, (a, b, c, d)))
+    let* op = frequency [ (3, return Add); (1, return Mem); (1, return Probe_add) ] in
+    let* a = gen_id and* b = gen_id in
+    return (op, (a, b)))
 
 let arb_ops =
+  let print_op = function Add -> "add" | Mem -> "mem" | Probe_add -> "probe" in
   QCheck.make
-    ~print:
-      QCheck.Print.(
-        list (pair bool (quad int int int int)))
+    ~print:QCheck.Print.(list (pair print_op (pair int int)))
     QCheck.Gen.(list_size (int_range 0 600) gen_op)
 
-(* every add/mem answer matches a Hashtbl model; up to 600 operations
-   take a 16-slot table through several doublings, and the load never
-   exceeds 3/4 *)
+(* every answer matches a Hashtbl model: [add] (or a probe that finds a
+   free slot) is true exactly once per key, [mem] after it.  Up to 600
+   operations take an 8-slot table through several doublings, and the
+   load never exceeds 3/4. *)
 let prop_flat_set_model =
   QCheck.Test.make ~name:"flat set: add/mem agree with a Hashtbl model"
     ~count:300 arb_ops (fun ops ->
       let s = Flat_set.create () and model = Hashtbl.create 16 in
       List.for_all
-        (fun (is_add, ((a, b, c, d) as k)) ->
+        (fun (op, ((a, b) as k)) ->
           let fresh = not (Hashtbl.mem model k) in
           let ok =
-            if is_add then begin
-              Hashtbl.replace model k ();
-              Bool.equal (Flat_set.add s a b c d) fresh
-            end
-            else Bool.equal (Flat_set.mem s a b c d) (not fresh)
+            match op with
+            | Add ->
+                Hashtbl.replace model k ();
+                Bool.equal (Flat_set.add s a b) fresh
+            | Mem -> Bool.equal (Flat_set.mem s a b) (not fresh)
+            | Probe_add ->
+                let slot = Flat_set.probe s a b in
+                if slot >= 0 then begin
+                  Hashtbl.replace model k ();
+                  Flat_set.add_at s slot a b
+                end;
+                Bool.equal (slot >= 0) fresh
           in
-          ok && 4 * Flat_set.length s <= 3 * (Flat_set.words s / 2))
+          ok && 4 * Flat_set.length s <= 3 * Flat_set.words s)
         ops
       && Flat_set.length s = Hashtbl.length model
-      && Hashtbl.fold (fun (a, b, c, d) () acc -> acc && Flat_set.mem s a b c d)
-           model true)
+      && Hashtbl.fold (fun (a, b) () acc -> acc && Flat_set.mem s a b) model true)
 
 let test_flat_set_extremes () =
   let m = Flat_set.max_id in
@@ -172,13 +182,15 @@ let test_flat_set_extremes () =
         (Flat_set.fst k, Flat_set.snd k))
     [ (0, 0); (0, m); (m, 0); (m, m) ];
   let s = Flat_set.create () in
-  Alcotest.(check int) "starts at 16 slots" 32 (Flat_set.words s);
-  Alcotest.(check bool) "extreme key is new" true (Flat_set.add s 0 m m 0);
-  Alcotest.(check bool) "extreme key is present" true (Flat_set.mem s 0 m m 0);
-  Alcotest.(check bool) "mirrored key is absent" false (Flat_set.mem s m 0 0 m);
-  Alcotest.(check bool) "zero key is new" true (Flat_set.add s 0 0 0 0);
-  Alcotest.(check bool) "extreme key added once" false (Flat_set.add s 0 m m 0);
-  (* 2^31 would alias (1, 0) in a packed half; a negative id would
+  Alcotest.(check int) "starts at 8 slots" 8 (Flat_set.words s);
+  Alcotest.(check bool) "extreme key is new" true (Flat_set.add s 0 m);
+  Alcotest.(check bool) "extreme key is present" true (Flat_set.mem s 0 m);
+  Alcotest.(check bool) "mirrored key is absent" false (Flat_set.mem s m 0);
+  Alcotest.(check bool) "zero key is new" true (Flat_set.add s 0 0);
+  Alcotest.(check bool) "max key is new" true (Flat_set.add s m m);
+  Alcotest.(check bool) "extreme key added once" false (Flat_set.add s 0 m);
+  Alcotest.(check int) "present key probes as -1" (-1) (Flat_set.probe s m m);
+  (* 2^31 would alias (1, 0) in a packed key; a negative id would
      spill into its neighbour: both are refused *)
   let refused name f =
     match f () with
@@ -187,10 +199,16 @@ let test_flat_set_extremes () =
   in
   refused "pack" (fun () -> ignore (Flat_set.pack (m + 1) 0));
   refused "pack negative" (fun () -> ignore (Flat_set.pack 0 (-1)));
-  refused "add" (fun () -> ignore (Flat_set.add s 0 0 0 (m + 1)));
-  refused "add first" (fun () -> ignore (Flat_set.add s (m + 1) 0 0 0));
-  refused "mem" (fun () -> ignore (Flat_set.mem s 0 (m + 1) 0 0));
-  Alcotest.(check int) "refused keys were not added" 2 (Flat_set.length s)
+  refused "add" (fun () -> ignore (Flat_set.add s 0 (m + 1)));
+  refused "add first" (fun () -> ignore (Flat_set.add s (m + 1) 0));
+  refused "add negative" (fun () -> ignore (Flat_set.add s (-1) 0));
+  refused "mem" (fun () -> ignore (Flat_set.mem s 0 (m + 1)));
+  refused "probe" (fun () -> ignore (Flat_set.probe s 0 (-1)));
+  refused "add_at a taken slot" (fun () ->
+      let slot = Flat_set.probe s 1 1 in
+      Flat_set.add_at s slot 1 1;
+      Flat_set.add_at s slot 2 2);
+  Alcotest.(check int) "refused keys were not added" 4 (Flat_set.length s)
 
 (* ---------------- domain pool ---------------- *)
 
@@ -275,6 +293,52 @@ let test_securibench_jobs_deterministic () =
   let par = Fd_eval.Securibench_table.render (Fd_eval.Securibench_table.run ~jobs:4 ()) in
   Alcotest.(check string) "securibench table identical at jobs 1 vs 4" seq par
 
+(* ---------------- cold-start templates ---------------- *)
+
+(* The shared templates every analysis clones are built on first use.
+   A batch runner first uses them inside its first [Pool.map] fan-out,
+   so two domains can force them at once in a fresh process.  The test
+   re-runs this binary with [once_child_env] set: the child releases
+   two domains together on every template, and exits non-zero if
+   either domain raised. *)
+let once_child_env = "FD_TEST_ONCE_CHILD"
+
+let force_templates_in_two_domains () =
+  let ready = Atomic.make 0 in
+  let force_all () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    ignore (Fd_frontend.Framework.fresh_scene ());
+    ignore (Fd_frontend.Sourcesink.default ());
+    ignore (Fd_frontend.Rules.default_wrappers ());
+    ignore (Fd_frontend.Rules.default_natives ())
+  in
+  let run () = match force_all () with () -> None | exception e -> Some e in
+  let d = Domain.spawn run in
+  let here = run () and there = Domain.join d in
+  match (here, there) with
+  | None, None -> exit 0
+  | Some e, _ | _, Some e ->
+      prerr_endline ("template force raised " ^ Printexc.to_string e);
+      exit 1
+
+let test_cold_templates_two_domains () =
+  let exe = Sys.executable_name in
+  let env = Array.append [| once_child_env ^ "=1" |] (Unix.environment ()) in
+  for round = 1 to 3 do
+    let pid =
+      Unix.create_process_env exe [| exe |] env Unix.stdin Unix.stdout
+        Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ ->
+        Alcotest.failf "round %d: a fresh process failed to force the templates"
+          round
+  done
+
 (* ---------------- work pin ---------------- *)
 
 (* Verdicts and [Metrics.with_delta] work counters of 40 Play and 40
@@ -347,6 +411,8 @@ let test_work_pin () =
   Alcotest.(check string) "work pin" expected actual
 
 let () =
+  if Sys.getenv_opt once_child_env <> None then
+    force_templates_in_two_domains ();
   Alcotest.run "fd_perf"
     [
       ( "intern",
@@ -382,6 +448,8 @@ let () =
         ] );
       ( "jobs-determinism",
         [
+          Alcotest.test_case "fresh process: 2 domains force the templates"
+            `Quick test_cold_templates_two_domains;
           Alcotest.test_case "droidbench --jobs invariant" `Quick
             test_droidbench_jobs_deterministic;
           Alcotest.test_case "securibench --jobs invariant" `Quick
