@@ -1,6 +1,7 @@
 (* RQ3: analyse the generated Play-profile / malware-profile corpora
    and report runtime + leak statistics. *)
 open Cmdliner
+module Cli = Fd_cli.Cli
 
 let profile =
   let profile_conv =
@@ -18,94 +19,11 @@ let n =
 let seed =
   Arg.(value & opt int 20140609 & info [ "seed" ] ~doc:"Corpus seed.")
 
-let deadline =
-  Arg.(
-    value & opt (some float) None
-    & info [ "deadline" ] ~docv:"SECS"
-        ~doc:"Wall-clock deadline per app; expired apps report partial \
-              results.")
-
-let jobs =
-  Arg.(
-    value & opt int (Fd_util.Pool.default_jobs ())
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:"Fan the per-app loop out over $(docv) domains; results \
-              are bit-identical at any job count (default: \
-              FLOWDROID_JOBS, else 1).")
-
-let stats_json_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "stats-json" ] ~docv:"FILE"
-        ~doc:"Write the observability snapshot of the whole corpus run \
-              as JSON to $(docv) (\"-\" = stdout).")
-
-let trace_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:"Write a Chrome trace_event file to $(docv) (\"-\" = stdout).")
-
-let profile_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "profile-out" ] ~docv:"FILE"
-        ~doc:"Profile the solver per method across the corpus and write \
-              a collapsed-stack (flamegraph) file to $(docv) (\"-\" = \
-              stdout).")
-
-let summary_store =
-  Arg.(
-    value & opt (some string) None
-    & info [ "summary-store" ] ~docv:"DIR"
-        ~env:(Cmd.Env.info "FLOWDROID_SUMMARY_STORE")
-        ~doc:"Reuse (and extend) the persistent cross-app summary store \
-              at $(docv); results are bit-identical with the store hot \
-              or cold.")
-
-let targeted =
-  Arg.(
-    value & opt_all string []
-    & info [ "targeted" ] ~docv:"SIG"
-        ~env:(Cmd.Env.info "FLOWDROID_TARGETED")
-        ~doc:"Demand-driven targeted mode: only analyse flows into \
-              sinks matching $(docv) (substring of \"Class.method\", \
-              supertypes included; repeatable, or comma-separated in \
-              the env var).")
-
-let split_targeted specs =
-  List.concat_map
-    (fun s ->
-      List.filter_map
-        (fun p ->
-          let p = String.trim p in
-          if p = "" then None else Some p)
-        (String.split_on_char ',' s))
-    specs
-
-let run profile n seed deadline jobs stats_json_out trace_out profile_out
-    summary_store targeted =
-  Fd_obs.Metrics.reset ();
-  Fd_obs.Trace.reset ();
-  Fd_obs.Profile.reset ();
-  (* SIGINT/SIGTERM → cooperative cancel: the per-app loop drains with
-     cancelled outcome rows, the partial table prints, and we exit 4 *)
-  let interrupt =
-    Sys.Signal_handle (fun _ -> Fd_resilience.Budget.cancel_all ())
+let run profile n seed (c : Cli.t) =
+  Cli.run ~name:"corpus_runner" c @@ fun () ->
+  let t =
+    Fd_eval.Corpus.run ~config:c.Cli.config ~jobs:c.Cli.jobs ~profile ~seed ~n ()
   in
-  Sys.set_signal Sys.sigint interrupt;
-  Sys.set_signal Sys.sigterm interrupt;
-  if summary_store <> None then Fd_store.Store.install ();
-  let config =
-    {
-      Fd_core.Config.default with
-      Fd_core.Config.deadline_s = deadline;
-      Fd_core.Config.profile = profile_out <> None;
-      Fd_core.Config.summary_store = summary_store;
-      Fd_core.Config.targeted = split_targeted targeted;
-    }
-  in
-  let t = Fd_eval.Corpus.run ~config ~jobs ~profile ~seed ~n () in
   print_string (Fd_eval.Corpus.render t);
   (* per-app outcome rows for anything that did not complete cleanly *)
   List.iter
@@ -115,47 +33,12 @@ let run profile n seed deadline jobs stats_json_out trace_out profile_out
         Printf.printf "  %-24s outcome: %s\n" s.Fd_eval.Corpus.as_name
           (Fd_resilience.Outcome.to_string s.Fd_eval.Corpus.as_outcome))
     t.Fd_eval.Corpus.c_stats;
-  let write_out what path =
-    try
-      what ~path;
-      if path <> "-" then Printf.eprintf "wrote %s\n" path
-    with Sys_error msg -> Printf.eprintf "error: %s\n" msg
-  in
-  (match stats_json_out with
-  | Some path ->
-      let extra =
-        if profile_out <> None then
-          [ ("profile", Fd_obs.Profile.to_json ()) ]
-        else []
-      in
-      write_out
-        (fun ~path -> Fd_obs.Export.write_stats_json ~extra ~path ())
-        path
-  | None -> ());
-  (match trace_out with
-  | Some path -> write_out Fd_obs.Export.write_chrome_trace path
-  | None -> ());
-  (match profile_out with
-  | Some path -> write_out Fd_obs.Profile.write_collapsed path
-  | None -> ());
-  List.iter
-    (fun (d : Fd_resilience.Diag.t) ->
-      Printf.eprintf "summary-store: %s\n" d.Fd_resilience.Diag.d_msg)
-    (Fd_store.Store.drain_diags ());
-  if Fd_resilience.Budget.cancelling_all () then begin
-    prerr_endline
-      "corpus_runner: interrupted — partial results above (cancelled runs \
-       report outcome: cancelled)";
-    4
-  end
-  else 0
+  0
 
 let cmd =
   Cmd.v
-    (Cmd.info "corpus_runner"
+    (Cmd.info "corpus_runner" ~exits:Cli.exits
        ~doc:"RQ3 corpus analysis (generated Play/malware apps)")
-    Term.(
-      const run $ profile $ n $ seed $ deadline $ jobs $ stats_json_out
-      $ trace_out $ profile_out $ summary_store $ targeted)
+    Term.(const run $ profile $ n $ seed $ Cli.term Cli.corpus_runner)
 
 let () = exit (Cmd.eval' cmd)

@@ -3,6 +3,7 @@
    non-zero when any leak key lands in a DIVERGENCE bucket, so the
    binary doubles as the CI gate's workhorse. *)
 open Cmdliner
+module Cli = Fd_cli.Cli
 module Gen = Fd_appgen.Generator
 module Dc = Fd_diffcheck.Diffcheck
 module Verdict = Fd_diffcheck.Verdict
@@ -30,30 +31,10 @@ let profile =
 let seed =
   Arg.(value & opt int 20140609 & info [ "seed" ] ~doc:"Corpus seed.")
 
-let precision =
-  Arg.(
-    value & opt string "none"
-    & info [ "precision" ] ~docv:"PASSES"
-        ~env:(Cmd.Env.info "FLOWDROID_PRECISION")
-        ~doc:
-          "Opt-in precision passes for the static engine ($(b,all), \
-           $(b,none), or a comma-separated subset of $(b,must-alias), \
-           $(b,array-index), $(b,reflection), $(b,clinit)).  Verdict \
-           classification follows: a category whose pass is enabled \
-           is no longer an accepted explanation for a disagreement.")
-
 let count =
   Arg.(
     value & opt int 200
     & info [ "count" ] ~docv:"N" ~doc:"Apps to generate per profile.")
-
-let jobs =
-  Arg.(
-    value & opt int (Fd_util.Pool.default_jobs ())
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:"Fan the per-app loop out over $(docv) domains; verdicts \
-              and digests are bit-identical at any job count \
-              (default: FLOWDROID_JOBS, else 1).")
 
 let minimize_flag =
   Arg.(
@@ -202,36 +183,6 @@ let emit_explained_repros ~config ~profile ~seed ~count ~dir (c : Dc.campaign) =
         ar.Dc.ar_verdicts)
     c.Dc.cp_reports
 
-let summary_store =
-  Arg.(
-    value & opt (some string) None
-    & info [ "summary-store" ] ~docv:"DIR"
-        ~env:(Cmd.Env.info "FLOWDROID_SUMMARY_STORE")
-        ~doc:"Reuse (and extend) the persistent cross-app summary store \
-              at $(docv); verdicts and digests are bit-identical with \
-              the store hot or cold.")
-
-let targeted =
-  Arg.(
-    value & opt_all string []
-    & info [ "targeted" ] ~docv:"SIG"
-        ~env:(Cmd.Env.info "FLOWDROID_TARGETED")
-        ~doc:"Demand-driven targeted mode: only analyse flows into \
-              sinks matching $(docv) (substring of \"Class.method\", \
-              supertypes included; repeatable, or comma-separated in \
-              the env var).")
-
-let icc_flag =
-  Arg.(
-    value & flag
-    & info [ "icc" ]
-        ~env:(Cmd.Env.info "FLOWDROID_ICC")
-        ~doc:"Enable the inter-component taint tier in the static \
-              engine (and concrete intent dispatch in the dynamic \
-              oracle).  Verdict classification follows: icc-send and \
-              icc-stitch are no longer accepted explanations for a \
-              disagreement.")
-
 let pairs =
   Arg.(
     value & opt int 0
@@ -241,41 +192,11 @@ let pairs =
               each, validated against the planted cross-app ground \
               truth.")
 
-let split_targeted specs =
-  List.concat_map
-    (fun s ->
-      List.filter_map
-        (fun p ->
-          let p = String.trim p in
-          if p = "" then None else Some p)
-        (String.split_on_char ',' s))
-    specs
-
-let run which seed precision count jobs do_min json emit_dir summary_store
-    targeted icc pairs =
+let run which seed count do_min json emit_dir pairs (c : Cli.t) =
   let module Config = Fd_core.Config in
-  match Config.precision_of_string precision with
-  | Error msg ->
-      Printf.eprintf "error: --precision: %s\n" msg;
-      exit 1
-  | Ok passes ->
-  (* SIGINT/SIGTERM → cooperative cancel: the campaign's per-app loop
-     drains, partial verdict tables still print, and we exit 4.
-     Verdicts from cancelled (partial) solves are not divergence
-     evidence, so the divergence gate is skipped on interrupt. *)
-  let interrupt =
-    Sys.Signal_handle (fun _ -> Fd_resilience.Budget.cancel_all ())
-  in
-  Sys.set_signal Sys.sigint interrupt;
-  Sys.set_signal Sys.sigterm interrupt;
-  if summary_store <> None then Fd_store.Store.install ();
-  let config =
-    { Config.default with
-      Config.precision = passes;
-      Config.summary_store;
-      Config.targeted = split_targeted targeted;
-      Config.icc = icc }
-  in
+  Cli.run ~name:"diff_runner" c @@ fun () ->
+  let config = c.Cli.config and jobs = c.Cli.jobs in
+  let passes = config.Config.precision in
   let enabled = Config.precision_enabled passes in
   let profiles =
     match which with One p -> [ p ] | Both -> [ Gen.Play; Gen.Malware ]
@@ -315,29 +236,22 @@ let run which seed precision count jobs do_min json emit_dir summary_store
       print_string (Dc.render c)
     end
   end;
-  List.iter
-    (fun (d : Fd_resilience.Diag.t) ->
-      Printf.eprintf "summary-store: %s\n" d.Fd_resilience.Diag.d_msg)
-    (Fd_store.Store.drain_diags ());
-  if Fd_resilience.Budget.cancelling_all () then begin
-    Printf.eprintf
-      "diff_runner: interrupted — partial verdict tables above; cancelled \
-       solves are under-approximations, so no divergence verdict is issued\n";
-    exit 4
-  end;
-  if !n_div > 0 then begin
+  (* verdicts from cancelled (partial) solves are not divergence
+     evidence: after an interrupt the run exits 4 without a verdict *)
+  if !n_div > 0 && not (Fd_resilience.Budget.cancelling_all ()) then begin
     Printf.eprintf "diff_runner: %d divergent leak key(s)\n" !n_div;
-    exit 1
+    1
   end
+  else 0
 
 let cmd =
   Cmd.v
-    (Cmd.info "diff_runner"
+    (Cmd.info "diff_runner" ~exits:Cli.exits
        ~doc:
          "Differential validation: static IFDS vs dynamic interpreter \
           vs planted ground truth over generated corpora.")
     Term.(
-      const run $ profile $ seed $ precision $ count $ jobs $ minimize_flag
-      $ json $ emit_explained $ summary_store $ targeted $ icc_flag $ pairs)
+      const run $ profile $ seed $ count $ minimize_flag $ json
+      $ emit_explained $ pairs $ Cli.term Cli.diff_runner)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

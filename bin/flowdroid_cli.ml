@@ -3,6 +3,7 @@
    report the discovered source-to-sink flows. *)
 
 open Cmdliner
+module Cli = Fd_cli.Cli
 module Config = Fd_core.Config
 
 let app_dir =
@@ -53,20 +54,6 @@ let rta =
     value & flag
     & info [ "rta" ] ~doc:"Use RTA instead of CHA for call-graph construction.")
 
-let precision =
-  Arg.(
-    value & opt string "none"
-    & info [ "precision" ] ~docv:"PASSES"
-        ~env:(Cmd.Env.info "FLOWDROID_PRECISION")
-        ~doc:
-          "Opt-in precision passes: $(b,all), $(b,none), or a \
-           comma-separated subset of $(b,must-alias) (strong updates \
-           through must-aliased bases), $(b,array-index) \
-           (constant-index array cells), $(b,reflection) \
-           (constant-string reflective call edges) and $(b,clinit) \
-           (first-use-site class-initialiser placement).  All passes \
-           default to off; the default output is unchanged.")
-
 let lint_flag =
   Arg.(
     value & flag
@@ -87,15 +74,6 @@ let wrappers_file =
   Arg.(
     value & opt (some file) None
     & info [ "taint-wrappers" ] ~doc:"Taint-wrapper (library shortcut) rules file.")
-
-let deadline =
-  Arg.(
-    value & opt (some float) None
-    & info [ "deadline" ] ~docv:"SECS"
-        ~doc:
-          "Wall-clock deadline for the taint analysis; on expiry the \
-           solver stops cooperatively and the partial results are \
-           reported with outcome deadline-exceeded (exit status 3).")
 
 let lenient =
   Arg.(
@@ -131,32 +109,6 @@ let xml_out =
     & info [ "xml" ] ~docv:"FILE"
         ~doc:"Write the results as a FlowDroid-style XML report to $(docv).")
 
-let stats_json_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "stats-json" ] ~docv:"FILE"
-        ~doc:
-          "Write the observability snapshot (ifds.*, bidi.*, cg.*, \
-           frontend.* metrics and per-phase durations) as JSON to $(docv).")
-
-let trace_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace_event file of the pipeline phases to \
-           $(docv); open it in chrome://tracing or Perfetto.")
-
-let provenance_flag =
-  Arg.(
-    value & flag
-    & info [ "provenance" ]
-        ~doc:
-          "Record provenance edges during solving so each reported flow \
-           carries a witness path (adds a $(b,witnesses) array to \
-           --stats-json).  Off by default; when off the solver output is \
-           byte-identical to a build without this feature.")
-
 let explain_flag =
   Arg.(
     value & flag
@@ -164,70 +116,6 @@ let explain_flag =
         ~doc:
           "Print a human-readable source-to-sink witness trace under \
            each reported flow (implies --provenance).")
-
-let profile_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "profile-out" ] ~docv:"FILE"
-        ~doc:
-          "Profile the solver per method and write a collapsed-stack \
-           file to $(docv) (feed it to flamegraph.pl; \"-\" writes to \
-           stdout).  Also adds a $(b,profile) hot-method table to \
-           --stats-json.")
-
-let summary_store =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "summary-store" ]
-        ~env:(Cmd.Env.info "FLOWDROID_SUMMARY_STORE")
-        ~docv:"DIR"
-        ~doc:
-          "Persistent cross-app summary store: reuse end summaries of \
-           methods whose code digest and analysis configuration match a \
-           previous run, and persist freshly computed ones to $(docv).  \
-           Off by default; with the flag unset the output is \
-           byte-identical to a store-free run.")
-
-let targeted =
-  Arg.(
-    value & opt_all string []
-    & info [ "targeted" ]
-        ~env:(Cmd.Env.info "FLOWDROID_TARGETED")
-        ~docv:"SIG"
-        ~doc:
-          "Demand-driven targeted mode: only analyse flows into sinks \
-           matching $(docv) (substring of \"Class.method\", supertypes \
-           included; repeatable, or comma-separated in \
-           $(b,FLOWDROID_TARGETED)).  Slices backward from matching \
-           sink sites and extends the call graph only along the \
-           slice — often orders of magnitude faster when most of the \
-           app cannot reach the sink.")
-
-let icc_flag =
-  Arg.(
-    value & flag
-    & info [ "icc" ]
-        ~env:(Cmd.Env.info "FLOWDROID_ICC")
-        ~doc:
-          "Inter-component taint tracking: resolve intent sends against \
-           the manifest's intent filters (Android's intent-resolution \
-           rules, exported gate included) and stitch sending-side flows \
-           to reception-side flows — per extra key where the constant \
-           analysis can separate them.  Off by default; with the flag \
-           unset the output is byte-identical to a build without this \
-           tier.")
-
-(* repeatable flag + comma-separated lists (the env-var form) *)
-let split_targeted specs =
-  List.concat_map
-    (fun s ->
-      List.filter_map
-        (fun p ->
-          let p = String.trim p in
-          if p = "" then None else Some p)
-        (String.split_on_char ',' s))
-    specs
 
 let read_file path =
   let ic = open_in_bin path in
@@ -293,47 +181,33 @@ let run_lint dir =
     1
   end
 
-let analyze dir apk_dirs icc k deadline lenient fallback no_lc no_cb no_alias
-    no_act rta precision lint sources wrappers show_paths dump_dm xml_out
-    stats_json_out trace_out provenance explain profile_out summary_store
-    targeted =
-  Fd_obs.Metrics.reset ();
-  Fd_obs.Trace.reset ();
-  Fd_obs.Profile.reset ();
+let analyze (c : Cli.t) dir apk_dirs k lenient fallback no_lc no_cb no_alias
+    no_act rta lint sources wrappers show_paths dump_dm xml_out explain =
   let dirs = (match dir with Some d -> [ d ] | None -> []) @ apk_dirs in
   match dirs with
   | [] ->
       Printf.eprintf "error: no app directory given (positional or --apk)\n";
       1
+  | _ :: _ when lint -> List.fold_left (fun acc d -> max acc (run_lint d)) 0 dirs
   | _ :: _ ->
-  if lint then
-    List.fold_left (fun acc d -> max acc (run_lint d)) 0 dirs
-  else
-  match Config.precision_of_string precision with
-  | Error msg ->
-      Printf.eprintf "error: --precision: %s\n" msg;
-      1
-  | Ok precision ->
   let config =
     {
-      Config.default with
+      c.Cli.config with
       Config.max_access_path = k;
-      Config.deadline_s = deadline;
       Config.lifecycle = not no_lc;
       Config.callbacks = not no_cb;
       Config.alias_search = not no_alias;
       Config.activation_statements = not no_act;
       Config.cg_algorithm =
         (if rta then Fd_callgraph.Callgraph.Rta else Fd_callgraph.Callgraph.Cha);
-      Config.precision;
-      Config.provenance = provenance || explain;
-      Config.profile = profile_out <> None;
-      Config.summary_store = summary_store;
-      Config.targeted = split_targeted targeted;
-      Config.icc = icc;
+      Config.provenance = c.Cli.config.Config.provenance || explain;
     }
   in
-  if summary_store <> None then Fd_store.Store.install ();
+  let precision = config.Config.precision in
+  (* the witness paths of the reported flows, for --stats-json *)
+  let witnesses = ref [] in
+  let extra () = !witnesses in
+  Cli.run ~name:"flowdroid" ~extra { c with Cli.config } @@ fun () ->
   let mode = if lenient then `Lenient else `Strict in
   let defs =
     match sources with
@@ -395,12 +269,6 @@ let analyze dir apk_dirs icc k deadline lenient fallback no_lc no_cb no_alias
             (fun d ->
               Printf.eprintf "warning: %s\n" (Fd_resilience.Diag.to_string d))
             result.Fd_core.Infoflow.r_diags;
-          if summary_store <> None then
-            List.iter
-              (fun d ->
-                Printf.eprintf "warning: %s\n"
-                  (Fd_resilience.Diag.to_string d))
-              (Fd_store.Store.drain_diags ());
           let findings = result.Fd_core.Infoflow.r_findings in
           (* only mention precision when a pass is on: the default
              output stays bit-identical *)
@@ -455,49 +323,20 @@ let analyze dir apk_dirs icc k deadline lenient fallback no_lc no_cb no_alias
                     e.Fd_core.Icc.su_method
                     (Fd_core.Icc.string_of_reason e.Fd_core.Icc.su_reason))
                 rep.Fd_core.Icc.ic_surface);
-          let write_error = ref false in
-          let write_out what path =
-            try
-              what ~path;
-              if path <> "-" then Printf.eprintf "wrote %s\n" path
-            with Sys_error msg ->
-              Printf.eprintf "error: %s\n" msg;
-              write_error := true
+          if config.Config.provenance then
+            witnesses :=
+              [ ("witnesses", Fd_core.Report.witnesses_json findings) ];
+          let xml_written =
+            match xml_out with
+            | None -> true
+            | Some path ->
+                let doc =
+                  match fb_opt with
+                  | Some fb -> Fd_core.Report.fallback_to_xml_string fb
+                  | None -> Fd_core.Report.to_xml_string result
+                in
+                Cli.write_output (fun ~path -> Fd_obs.Export.write_file path doc) path
           in
-          let extra =
-            (if provenance || explain then
-               [ ("witnesses", Fd_core.Report.witnesses_json findings) ]
-             else [])
-            @
-            if profile_out <> None then
-              [ ("profile", Fd_obs.Profile.to_json ()) ]
-            else []
-          in
-          (match stats_json_out with
-          | Some path ->
-              write_out
-                (fun ~path -> Fd_obs.Export.write_stats_json ~extra ~path ())
-                path
-          | None -> ());
-          (match profile_out with
-          | Some path -> write_out Fd_obs.Profile.write_collapsed path
-          | None -> ());
-          (match trace_out with
-          | Some path -> write_out Fd_obs.Export.write_chrome_trace path
-          | None -> ());
-          (match xml_out with
-          | Some path ->
-              let doc =
-                match fb_opt with
-                | Some fb -> Fd_core.Report.fallback_to_xml_string fb
-                | None -> Fd_core.Report.to_xml_string result
-              in
-              let oc = open_out_bin path in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () -> output_string oc doc);
-              Printf.eprintf "wrote %s\n" path
-          | None -> ());
           if dump_dm then begin
             match
               Fd_callgraph.Callgraph.body_of
@@ -529,7 +368,7 @@ let analyze dir apk_dirs icc k deadline lenient fallback no_lc no_cb no_alias
                   print_endline (Fd_core.Report.outcome_line result);
                 not complete
           in
-          if !write_error then 1
+          if not xml_written then 1
           else if incomplete then 3
           else if findings = [] then 0
           else 2)
@@ -537,6 +376,13 @@ let analyze dir apk_dirs icc k deadline lenient fallback no_lc no_cb no_alias
 let cmd =
   Cmd.v
     (Cmd.info "flowdroid"
+       ~exits:
+         (Cmd.Exit.info 2 ~doc:"when flows are reported."
+         :: Cmd.Exit.info 3
+              ~doc:
+                "when the analysis terminated early (deadline, budget or \
+                 crash); the results are a partial under-approximation."
+         :: Cli.exits)
        ~doc:
          "Context-, flow-, field- and object-sensitive, lifecycle-aware \
           taint analysis for Android apps (FlowDroid, PLDI 2014)."
@@ -546,17 +392,12 @@ let cmd =
            `P
              "Analyses an Android app given as a directory containing \
               AndroidManifest.xml, res/layout/*.xml and µJimple (.jimple) \
-              class sources.  Exit status: 0 when no flows are found, 2 \
-              when flows are reported, 3 when the analysis terminated \
-              early (deadline, budget or crash — results are a partial \
-              under-approximation), 1 on errors.";
+              class sources.  Exit status 0 means that no flow was found.";
          ])
     Term.(
-      const analyze $ app_dir $ apk_dirs $ icc_flag $ k_len $ deadline
+      const analyze $ Cli.term Cli.flowdroid_cli $ app_dir $ apk_dirs $ k_len
       $ lenient $ fallback $ no_lifecycle $ no_callbacks $ no_alias
-      $ no_activation $ rta $ precision $ lint_flag $ sources_file
-      $ wrappers_file $ show_paths $ dump_dummy_main $ xml_out
-      $ stats_json_out $ trace_out $ provenance_flag $ explain_flag
-      $ profile_out $ summary_store $ targeted)
+      $ no_activation $ rta $ lint_flag $ sources_file $ wrappers_file
+      $ show_paths $ dump_dummy_main $ xml_out $ explain_flag)
 
 let () = exit (Cmd.eval' cmd)

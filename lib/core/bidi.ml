@@ -193,7 +193,8 @@ type cctx = {
 and cstate = {
   cs_edges : Flat_set.t;  (** path edges: (node, fact) ids *)
   mutable cs_sums : pairs option;
-      (** end summaries: (exit node, fact) ids *)
+      (** end summaries: (exit node, fact) ids; backward, only their
+          seen-set, which feeds the summary count *)
   mutable cs_inc : pairs option;
       (** incoming set: (call node, caller context) ids *)
 }
@@ -646,7 +647,13 @@ let add_summary t solver cx_callee ((ni : ninfo), fact) =
         st.cs_sums <- Some ps;
         ps
   in
-  if pairs_add sums ni.ni_id fid then begin
+  (* backward end summaries are only counted: nothing reads them, so
+     they stay out of the list *)
+  let added =
+    if solver.s_fw then pairs_add sums ni.ni_id fid
+    else Flat_set.add sums.p_seen ni.ni_id fid
+  in
+  if added then begin
     Flight.record (fun () ->
         Printf.sprintf "return-edge %s %s"
           (Icfg.string_of_node ni.ni_node)
@@ -656,9 +663,10 @@ let add_summary t solver cx_callee ((ni : ninfo), fact) =
   end
   else false
 
-(* [f e d] on each end summary [(e, d)] of [cx_callee], newest first *)
-let iter_summaries t solver cx_callee f =
-  match state_opt solver cx_callee with
+(* [f e d] on each forward end summary [(e, d)] of [cx_callee], newest
+   first *)
+let iter_summaries t cx_callee f =
+  match cx_callee.cc_fw with
   | Some { cs_sums = Some ps; _ } ->
       List.iter
         (fun k ->
@@ -1409,7 +1417,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
           add_incoming t.fw cx_callee (ni, cx);
           if not (inject_stored_summaries t cx_callee) then
             propagate_fw ~kind:Prov.Call t cx_callee s_callee d3;
-          iter_summaries t t.fw cx_callee (fun e d4 ->
+          iter_summaries t cx_callee (fun e d4 ->
               M.incr m_summary_apps;
               let rets =
                 return_flow t ~call:ni ~callee ~exit_ni:e call_inv d4
@@ -1836,7 +1844,7 @@ let persist_summaries t (h : Summary.hooks) =
         && h.Summary.h_eligible cx.cc_proc.mi_key
       then begin
         let sums = ref [] in
-        iter_summaries t t.fw cx (fun ni f ->
+        iter_summaries t cx (fun ni f ->
             sums := (ni.ni_node.Icfg.n_idx, f) :: !sums);
         let pc =
           {

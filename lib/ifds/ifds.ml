@@ -132,16 +132,10 @@ module Make (P : PROBLEM) = struct
   module Flat_set = Fd_util.Flat_set
 
   (* a context ⟨sp, d1⟩ with its path edges: the (n, d2) id pairs
-     reached under it.  Contexts and items carry the canonical (pooled)
+     reached under it.  Items carry the canonical (pooled)
      representatives alongside their ids, so downstream flow functions
      hit the pools' [==] fast paths. *)
-  type ctx = {
-    c_sp : P.node;
-    c_sp_id : int;
-    c_d1 : P.fact;
-    c_d1_id : int;
-    c_edges : Flat_set.t;
-  }
+  type ctx = { c_sp_id : int; c_d1_id : int; c_edges : Flat_set.t }
 
   (* a worklist item: the path edge ⟨sp, d1⟩ → ⟨n, d2⟩ *)
   type item = {
@@ -159,18 +153,6 @@ module Make (P : PROBLEM) = struct
   (* a node and a fact with their ids: an exit with the fact leaving
      it, or a call with the caller's fact *)
   type site = P.node * int * P.fact * int
-
-  (** external summary provider — the persistent-store integration
-      point of the generic solver: [sh_lookup callee entry] returns the
-      already-known end summaries of a (callee, entry-fact) context, in
-      which case the tabulation installs them and skips seeding the
-      callee; [sh_persist] observes every freshly discovered end
-      summary (write-behind).  [None] everywhere ⇒ the classic
-      tabulation, bit for bit. *)
-  type summary_hooks = {
-    sh_lookup : P.proc -> P.fact -> (P.node * P.fact) list option;
-    sh_persist : P.proc -> P.fact -> exit:P.node -> P.fact -> unit;
-  }
 
   type t = {
     nodes : Node_pool.pool;
@@ -196,18 +178,9 @@ module Make (P : PROBLEM) = struct
     incoming_ctx : ctx cell Int_tbl.t;
     worklist : item Queue.t;
     budget : Fd_resilience.Budget.t;
-    (* external summaries: the hooks and the (callee, entry fact)
-       contexts whose summaries were injected — skipped when seeding
-       and never handed back to [sh_persist] *)
-    hooks : summary_hooks option;
-    injected : Flat_set.t;
-    (* targeted-mode slice membership: calls whose callee falls
-       outside it are treated like unanalysable calls (call-to-return
-       only).  [None] — the default — takes no new code path. *)
-    in_slice : (P.proc -> bool) option;
   }
 
-  let create ?(budget = Fd_resilience.Budget.unlimited ()) ?hooks ?in_slice () =
+  let create ?(budget = Fd_resilience.Budget.unlimited ()) () =
     {
       nodes = Node_pool.create ~size:512 ();
       procs = Proc_pool.create ~size:64 ();
@@ -220,9 +193,6 @@ module Make (P : PROBLEM) = struct
       incoming_ctx = Int_tbl.create 256;
       worklist = Queue.create ();
       budget;
-      hooks;
-      injected = Flat_set.create ();
-      in_slice;
     }
 
   let int_cell tbl key =
@@ -258,15 +228,12 @@ module Make (P : PROBLEM) = struct
     else false
 
   (* the context ⟨sp, d1⟩, created on first use *)
-  let ctx t ~sp ~sp_id ~d1 ~d1_id =
+  let ctx t ~sp_id ~d1_id =
     let key = Flat_set.pack sp_id d1_id in
     match Int_tbl.find_opt t.ctxs key with
     | Some c -> c
     | None ->
-        let c =
-          { c_sp = sp; c_sp_id = sp_id; c_d1 = d1; c_d1_id = d1_id;
-            c_edges = Flat_set.create () }
-        in
+        let c = { c_sp_id = sp_id; c_d1_id = d1_id; c_edges = Flat_set.create () } in
         Int_tbl.replace t.ctxs key c;
         c
 
@@ -308,17 +275,11 @@ module Make (P : PROBLEM) = struct
     end
     else false
 
-  let injected t (cp, cf) = Flat_set.mem t.injected cp cf
-
   let process t (it : item) =
     let cx = it.it_ctx in
     let n = it.it_n and d2 = it.it_d2 in
     let propagate_src = propagate t cx in
-    let callees =
-      match t.in_slice with
-      | None -> P.callees n
-      | Some keep -> List.filter keep (P.callees n)
-    in
+    let callees = P.callees n in
     if callees <> [] then begin
       (* a call node with analysable targets *)
       List.iter
@@ -335,37 +296,12 @@ module Make (P : PROBLEM) = struct
               (* remember the caller context for later summaries *)
               add_incoming t callee_key (n, it.it_n_id, d2, it.it_d2_id);
               add_ctx t (it.it_n_id, it.it_d2_id) cx;
-              (* seed the callee — unless an external provider already
-                 knows this context's end summaries, which are then
-                 installed in place of the descent *)
-              let injected =
-                match t.hooks with
-                | None -> false
-                | Some h -> (
-                    if injected t callee_key then true
-                    else
-                      match h.sh_lookup callee d3 with
-                      | None -> false
-                      | Some sums ->
-                          ignore (Flat_set.add t.injected callee_id d3_id);
-                          List.iter
-                            (fun (e, d4) ->
-                              let e_id = Node_pool.id t.nodes e in
-                              let e = Node_pool.value t.nodes e_id in
-                              let d4_id = Fact_pool.id t.facts d4 in
-                              let d4 = Fact_pool.value t.facts d4_id in
-                              ignore
-                                (add_summary t callee_key (e, e_id, d4, d4_id)))
-                            sums;
-                          true)
-              in
-              if not injected then begin
-                let sc_id = Node_pool.id t.nodes s_callee in
-                let s_callee = Node_pool.value t.nodes sc_id in
-                propagate t
-                  (ctx t ~sp:s_callee ~sp_id:sc_id ~d1:d3 ~d1_id:d3_id)
-                  s_callee d3
-              end;
+              (* seed the callee *)
+              let sc_id = Node_pool.id t.nodes s_callee in
+              let s_callee = Node_pool.value t.nodes sc_id in
+              propagate t
+                (ctx t ~sp_id:sc_id ~d1_id:d3_id)
+                s_callee d3;
               (* apply already-known summaries *)
               List.iter
                 (fun (e, _, d4, _) ->
@@ -395,10 +331,6 @@ module Make (P : PROBLEM) = struct
       let callee_id = Proc_pool.id t.procs callee in
       let callee_key = (callee_id, cx.c_d1_id) in
       if add_summary t callee_key (n, it.it_n_id, d2, it.it_d2_id) then begin
-        (match t.hooks with
-        | Some h when not (injected t callee_key) ->
-            h.sh_persist callee cx.c_d1 ~exit:n d2
-        | _ -> ());
         List.iter
           (fun (c, c_id, _dc, dc_id) ->
             M.incr m_flow_return;
@@ -438,47 +370,29 @@ module Make (P : PROBLEM) = struct
         tbl 0
     in
     (Int_tbl.fold (fun _ c acc -> acc + 9 + Flat_set.words c.c_edges) t.ctxs 0
-    + Flat_set.words t.results_seen + Flat_set.words t.injected
+    + Flat_set.words t.results_seen
     + lists t.results_facts + cells t.end_summaries + cells t.incoming
     + cells t.incoming_ctx)
     * (Sys.word_size / 8)
 
-  (** [solve ?budget ?proc_name ~seeds ()] runs the tabulation to a
-      fixed point (or until [budget] trips — check {!outcome}
-      afterwards).  Each seed [(n, d)] asserts that [d] holds just
-      before [n] (typically [(entry, zero)]).  When [proc_name] is
-      given, every pop's processing time is attributed to its
-      procedure in the {!Fd_obs.Profile} registry.  [?in_slice]
-      restricts descent to procedures inside the targeted slice; calls
-      outside it degrade to call-to-return flow only. *)
-  let solve ?budget ?proc_name ?summaries ?in_slice ~seeds () =
-    let t = create ?budget ?hooks:summaries ?in_slice () in
+  (** [solve ?budget ~seeds ()] runs the tabulation to a fixed point
+      (or until [budget] trips — check {!outcome} afterwards).  Each
+      seed [(n, d)] asserts that [d] holds just before [n] (typically
+      [(entry, zero)]). *)
+  let solve ?budget ~seeds () =
+    let t = create ?budget () in
     Flight.clear ();
     Flight.mark (Printf.sprintf "ifds.solve.start seeds=%d" (List.length seeds));
     List.iter
       (fun (n, d) ->
-        let sp = P.start_of (P.proc_of n) in
-        let sp_id = Node_pool.id t.nodes sp in
-        let sp = Node_pool.value t.nodes sp_id in
+        let sp_id = Node_pool.id t.nodes (P.start_of (P.proc_of n)) in
         let z_id = Fact_pool.id t.facts P.zero in
-        let z = Fact_pool.value t.facts z_id in
         (* context: the zero fact at the procedure start; seeds are
            unconditional *)
-        let cx = ctx t ~sp ~sp_id ~d1:z ~d1_id:z_id in
+        let cx = ctx t ~sp_id ~d1_id:z_id in
         propagate t cx n d;
         if not (P.fact_equal d P.zero) then propagate t cx n P.zero)
       seeds;
-    (* profiler cells per interned procedure id, resolved lazily *)
-    let prof_cells = Int_tbl.create 64 in
-    let prof_cell name proc =
-      let pid = Proc_pool.id t.procs proc in
-      match Int_tbl.find_opt prof_cells pid with
-      | Some c -> c
-      | None ->
-          let c = Fd_obs.Profile.cell (name proc) in
-          Int_tbl.replace prof_cells pid c;
-          c
-    in
     while
       (not (Queue.is_empty t.worklist))
       && not (Fd_resilience.Budget.stopped t.budget)
@@ -487,14 +401,7 @@ module Make (P : PROBLEM) = struct
       M.incr m_worklist_pops;
       Flight.record (fun () ->
           Printf.sprintf "ifds.pop n%d d%d" it.it_n_id it.it_d2_id);
-      match proc_name with
-      | None -> process t it
-      | Some name ->
-          let t0 = Fd_obs.Profile.now () in
-          process t it;
-          Fd_obs.Profile.add_pop
-            (prof_cell name (P.proc_of it.it_n))
-            ~seconds:(Fd_obs.Profile.now () -. t0)
+      process t it
     done;
     M.set_int g_intern_nodes (Node_pool.size t.nodes);
     M.set_int g_intern_procs (Proc_pool.size t.procs);
